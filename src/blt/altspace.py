@@ -29,6 +29,9 @@ subject to ker M_U not contained in U.  The n - 1 term is the degenerate
 convention: one-dimensional restrictions are zero spaces and zero spaces
 decompose.  A literal restriction-enumeration solver is kept alongside as a
 cross-check oracle.
+
+Level scans and line degrees are computed once per space object and shared
+by kappa, lambda, delta and decomposability.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import gf
-from .gf import Subspace, field, gaussian_binomial, rank_batched, subspace_matrices
+from .gf import Subspace, field, rank_batched, subspace_matrices
 from .graphs import Graph
 
 DEFAULT_GUARD_N = 6
@@ -109,6 +112,11 @@ class AltMatrixSpace:
         t = np.array(self.basis, dtype=np.int64)
         t.setflags(write=False)
         return t
+
+    @cached_property
+    def _scans(self) -> dict:
+        """b -> read-only (r1, r2) of the level-b scan; filled by _dim_scan."""
+        return {}
 
     def contains(self, mat) -> bool:
         A = gf.as_residues(mat, self.q)
@@ -223,8 +231,11 @@ def restrict(space: AltMatrixSpace, W: Subspace) -> AltMatrixSpace:
 def _dim_scan(space: AltMatrixSpace, b: int):
     """For every b-dim U (canonical order): rank(M_U) and rank(M_U B_U^t).
 
-    M_U stacks the rows u_i^t A_k; its kernel is U^perp.  Returns (r1, r2).
+    M_U stacks the rows u_i^t A_k; its kernel is U^perp.  Returns (r1, r2),
+    read-only and computed once per space object.
     """
+    if b in space._scans:
+        return space._scans[b]
     n, q, m = space.n, space.q, space.dim
     AT = space.tensor
     Us = subspace_matrices(n, b, q)
@@ -238,7 +249,19 @@ def _dim_scan(space: AltMatrixSpace, b: int):
         r1[lo : lo + step] = rank_batched(M, q)
         MBt = np.einsum("urj,ucj->urc", M, chunk) % q
         r2[lo : lo + step] = rank_batched(MBt, q)
+    r1.setflags(write=False)
+    r2.setflags(write=False)
+    space._scans[b] = r1, r2
     return r1, r2
+
+
+def _line_degrees(space: AltMatrixSpace) -> np.ndarray:
+    """deg(u) for every line u, in projective_lines order.
+
+    For alternating A the row u^t A is -(A u)^t, so deg(u) = rank(M_u): the
+    degrees are the r1 of the level-1 scan.
+    """
+    return _dim_scan(space, 1)[0]
 
 
 def _orth_witness_from_u(space: AltMatrixSpace, u_rows: np.ndarray) -> OrthWitness:
@@ -325,7 +348,8 @@ def kappa_space(
         return n - 1, W
     witness = _orth_witness_from_u(space, best_u)
     W = witness.U.sum_with(witness.V)
-    assert W.dim == n - best
+    if W.dim != n - best:
+        raise AssertionError("the kappa witness must have dimension n - kappa")
     return best, W
 
 
@@ -373,22 +397,9 @@ def degree_vector(space: AltMatrixSpace, v) -> int:
 
 def delta_space(space: AltMatrixSpace) -> Tuple[int, np.ndarray]:
     """(delta, v): minimum degree over nonzero vectors, first line rep attaining."""
-    n, q, m = space.n, space.q, space.dim
-    lines = gf.projective_lines(n, q)
-    if m == 0:
-        return 0, np.array(lines[0])
-    D = np.einsum("kij,vj->vki", space.tensor, lines) % q
-    degs = rank_batched(D, q)
+    degs = _line_degrees(space)
     idx = int(degs.argmin())
-    return int(degs[idx]), np.array(lines[idx])
-
-
-def _line_degrees_subspace_order(space: AltMatrixSpace) -> np.ndarray:
-    rows = subspace_matrices(space.n, 1, space.q)[:, 0, :]
-    if space.dim == 0:
-        return np.zeros(len(rows), dtype=np.int64)
-    D = np.einsum("kij,vj->vki", space.tensor, rows) % space.q
-    return rank_batched(D, space.q)
+    return int(degs[idx]), np.array(gf.projective_lines(space.n, space.q)[idx])
 
 
 def _cut_ranks_for_u(space: AltMatrixSpace, u_rows: np.ndarray, cap: int):
@@ -411,11 +422,7 @@ def _degree_code_table(space: AltMatrixSpace) -> np.ndarray:
     """Degree of every nonzero vector, indexed by its base-q digit code."""
     n, q = space.n, space.q
     lines = gf.projective_lines(n, q)
-    if space.dim == 0:
-        degs = np.zeros(len(lines), dtype=np.int64)
-    else:
-        D = np.einsum("kij,vj->vki", space.tensor, lines) % q
-        degs = rank_batched(D, q)
+    degs = _line_degrees(space)
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     table = np.zeros(q**n, dtype=np.int64)
     for a in range(1, q):
@@ -468,7 +475,8 @@ def lambda_space(
     _check_guard("n", n, guard_n, force)
     dec, w = is_orth_decomposable(space)
     if dec:
-        assert w is not None
+        if w is None:
+            raise AssertionError("a decomposable space of dimension >= 2 has a split")
         return LambdaResult(0, w.U, w.V, space)
     best = delta_space(space)[0]  # the dim-1 pass
     if best > 1:
@@ -494,8 +502,7 @@ def lambda_space(
 def _lambda_witness(space: AltMatrixSpace, value: int):
     """First split (U, V) in canonical order whose cut dimension equals value."""
     n, q = space.n, space.q
-    degs = _line_degrees_subspace_order(space)
-    hits = np.nonzero(degs == value)[0]
+    hits = np.nonzero(_line_degrees(space) == value)[0]
     if hits.size:
         u_rows = np.array(subspace_matrices(n, 1, q)[hits[0]])
         v_rows = gf.complement_matrices(u_rows, q)[0]

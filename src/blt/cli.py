@@ -233,7 +233,6 @@ def cmd_verify(args) -> int:
         p=args.p,
         level=args.level,
         force=args.force,
-        seed=args.seed,
     )
     threads = _resolve_threads(args.threads)
 
@@ -351,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--q", type=int, default=3)
     v.add_argument("--p", type=int, default=3)
     v.add_argument("--threads", type=int, default=None, help="worker count (default: BLT_THREADS or all cores)")
-    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--level", choices=("graph", "space", "map", "group", "all"), default="all")
     v.add_argument("--format", choices=("text", "csv", "json"), default="text")
     v.add_argument("--force", action="store_true", help="lift per-level size guards")

@@ -365,14 +365,6 @@ def complement_matrices(u_basis: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def enumerate_complements(U: Subspace) -> Iterator[Subspace]:
-    """Yield every complement V with U + V = F_q^n direct, deterministically."""
-    if U.dim == 0 or U.dim == U.n:
-        raise ValueError("enumerate_complements needs 0 < dim U < n")
-    for basis in complement_matrices(U.mat(), U.q):
-        yield Subspace.from_vectors(basis, U.n, U.q)
-
-
 # ---------------------------------------------------------------------------
 # Batched kernels
 
@@ -426,32 +418,12 @@ def rank_batched(mats: np.ndarray, q: int, cap: Optional[int] = None) -> np.ndar
     return ranks
 
 
-def membership_mask(vectors: np.ndarray, u_basis: np.ndarray, q: int) -> np.ndarray:
-    """Boolean mask: which rows of `vectors` lie in the RREF row space `u_basis`."""
-    red = vectors % q
-    for row in u_basis:
-        p = int(np.nonzero(row)[0][0])
-        red = (red - np.outer(red[:, p], row)) % q
-    return ~red.any(axis=1)
-
-
-@lru_cache(maxsize=None)
 def projective_lines(n: int, q: int) -> np.ndarray:
-    """One representative per line of F_q^n: normalized so first nonzero entry is 1."""
-    reps = []
-    for lead in range(n):
-        tail = n - lead - 1
-        count = q**tail
-        vals = np.arange(count, dtype=np.int64)
-        powers = q ** np.arange(tail - 1, -1, -1, dtype=np.int64)
-        digits = (vals[:, None] // powers) % q if tail else np.zeros((1, 0), dtype=np.int64)
-        block = np.zeros((count, n), dtype=np.int64)
-        block[:, lead] = 1
-        block[:, lead + 1 :] = digits
-        reps.append(block)
-    out = np.concatenate(reps, axis=0)
-    out.setflags(write=False)
-    return out
+    """One representative per line of F_q^n: normalized so first nonzero entry is 1.
+
+    The rows of subspace_matrices(n, 1, q), in that order.
+    """
+    return subspace_matrices(n, 1, q)[:, 0, :]
 
 
 def all_vectors(n: int, q: int) -> np.ndarray:

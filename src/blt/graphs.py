@@ -147,10 +147,6 @@ def _components(n: int, adj, removed_vertices=(), removed_edges=()) -> int:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return _components(g.n, g.adjacency()) == 1
-
-
 # ---------------------------------------------------------------------------
 # Brute-force solvers (reference oracles)
 

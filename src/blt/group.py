@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional, Tuple
 
@@ -125,12 +124,6 @@ class BaerGroup:
         gh = self.multiply(g, h)
         hg = self.multiply(h, g)
         return self.multiply(self.inverse(hg), gh)
-
-    def random_element(self, rng: np.random.Generator) -> GroupElement:
-        return GroupElement(
-            tuple(int(x) for x in rng.integers(0, self.p, self.n)),
-            tuple(int(x) for x in rng.integers(0, self.p, self.m)),
-        )
 
     def all_elements(self) -> Iterator[GroupElement]:
         for v in product(range(self.p), repeat=self.n):

@@ -31,7 +31,6 @@ from . import gf
 from .altspace import delta_space, kappa_space, lambda_space, space_from_graph
 from .bilinear import kappa_map, lambda_map, map_from_space
 from .graphs import (
-    Graph,
     edge_connectivity,
     graph_from_mask,
     min_degree,
@@ -71,7 +70,6 @@ class VerifyConfig:
     p: int = 3
     level: str = "all"  # graph | space | map | group | all
     force: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if not 2 <= self.max_n <= MAX_N_CAP:
@@ -242,7 +240,6 @@ def render_json(report: VerifyReport) -> str:
             "p": cfg.p,
             "level": cfg.level,
             "force": cfg.force,
-            "seed": cfg.seed,
         },
         "columns": list(COLUMNS),
         "rows": report.rows,

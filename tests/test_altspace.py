@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blt import gf
+from blt import altspace, gf
 from blt.altspace import (
     AltMatrixSpace,
     OrthWitness,
@@ -83,7 +83,7 @@ def test_decomposability_frozen_cases():
     sp = space_from_graph(disjoint_union(complete_graph(2), complete_graph(2)), 3)
     dec, wit = is_orth_decomposable(sp)
     assert dec
-    validate_orth_witness(sp, wit)
+    assert validate_orth_witness(sp, wit)
     # connected graph -> not decomposable
     sp2 = space_from_graph(path_graph(4), 3)
     dec2, _ = is_orth_decomposable(sp2)
@@ -92,7 +92,7 @@ def test_decomposability_frozen_cases():
     z = AltMatrixSpace.from_matrices(np.zeros((0, 3, 3), dtype=np.int64), 3, 3)
     dec3, wit3 = is_orth_decomposable(z)
     assert dec3
-    validate_orth_witness(z, wit3)
+    assert validate_orth_witness(z, wit3)
 
 
 def test_decomposability_matches_pairscan():
@@ -105,7 +105,7 @@ def test_decomposability_matches_pairscan():
         slow, _ = orth_decomposable_pairscan(sp)
         assert fast == slow
         if fast:
-            validate_orth_witness(sp, wit)
+            assert validate_orth_witness(sp, wit)
 
 
 @pytest.mark.parametrize(
@@ -174,7 +174,40 @@ def test_lambda_witness_is_valid():
     assert res.U.intersect(res.V).dim == 0
     # the vanishing space has codimension lambda and decomposes via (U, V)
     assert res.vanishing.dim == sp.dim - res.value
-    validate_orth_witness(res.vanishing, OrthWitness(res.U, res.V))
+    assert validate_orth_witness(res.vanishing, OrthWitness(res.U, res.V))
+
+
+def test_level_scans_and_line_degrees_are_shared_per_space(monkeypatch):
+    sp = space_from_graph(cycle_graph(5), 3)
+    kappa_space(sp)
+    calls = []
+    rank_batched = altspace.rank_batched
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rank_batched(*args, **kwargs)
+
+    monkeypatch.setattr(altspace, "rank_batched", counting)
+    assert not is_orth_decomposable(sp)[0]
+    assert delta_space(sp)[0] == 2
+    assert calls == []
+    r1, r2 = altspace._dim_scan(sp, 1)
+    assert not r1.flags.writeable and not r2.flags.writeable
+    monkeypatch.undo()
+
+    # the answers and witnesses do not depend on the order of the queries
+    queries = {"kappa": kappa_space, "lambda": lambda_space, "delta": delta_space}
+
+    def answers(order):
+        space = space_from_graph(cycle_graph(5), 3)
+        out = {name: queries[name](space) for name in order}
+        delta, v = out["delta"]
+        out["delta"] = delta, v.tolist()
+        return out
+
+    a = answers(("kappa", "lambda", "delta"))
+    assert a == answers(("delta", "lambda", "kappa"))
+    assert (a["kappa"][0], a["lambda"].value, a["delta"][0]) == (2, 2, 2)
 
 
 def test_lambda_matches_oracle_random():

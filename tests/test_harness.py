@@ -114,7 +114,7 @@ def test_renderers():
     doc = json.loads(harness.render_json(report))
     assert doc["columns"] == list(harness.COLUMNS)
     assert doc["config"] == {"max_n": 2, "q": 3, "p": 3, "level": "all",
-                             "force": False, "seed": 0}
+                             "force": False}
     assert doc["rows"][0]["status"] == "PASS"
     assert doc["summary"]["pass"] == 1
 
