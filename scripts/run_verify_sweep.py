@@ -48,10 +48,14 @@ def main() -> int:
     (out / f"{stem}.csv").write_text(harness.render_csv(report))
     (out / f"{stem}.json").write_text(harness.render_json(report))
 
+    for gid, error in report.errors.items():
+        print(f"error: {gid}: {error}", file=sys.stderr)
     s = report.summary
-    print(f"{s['rows']} rows: {s['pass']} PASS, {s['fail']} FAIL in {dt:.1f}s",
-          file=sys.stderr)
+    print(f"{s['rows']} rows: {s['pass']} PASS, {s['fail']} FAIL, "
+          f"{s['error']} ERROR in {dt:.1f}s", file=sys.stderr)
     print(f"reports: {out / stem}.{{csv,json}}", file=sys.stderr)
+    if s["error"]:
+        return 3
     return 0 if report.all_pass else 1
 
 

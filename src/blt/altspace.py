@@ -247,7 +247,7 @@ def _dim_scan(space: AltMatrixSpace, b: int):
         chunk = Us[lo : lo + step]
         M = np.einsum("ubi,kij->ubkj", chunk, AT).reshape(len(chunk), b * m, n) % q
         r1[lo : lo + step] = rank_batched(M, q)
-        MBt = np.einsum("urj,ucj->urc", M, chunk) % q
+        MBt = np.einsum("urj,ucj->urc", M, chunk)
         r2[lo : lo + step] = rank_batched(MBt, q)
     r1.setflags(write=False)
     r2.setflags(write=False)
@@ -413,7 +413,7 @@ def _cut_ranks_for_u(space: AltMatrixSpace, u_rows: np.ndarray, cap: int):
     step = max(1, _CHUNK // max(1, m))
     for lo in range(0, NV, step):
         chunk = Vs[lo : lo + step]
-        cuts = np.einsum("kbj,vcj->vkbc", P, chunk).reshape(len(chunk), m, -1) % q
+        cuts = np.einsum("kbj,vcj->vkbc", P, chunk).reshape(len(chunk), m, -1)
         out[lo : lo + step] = rank_batched(cuts, q, cap=cap)
     return out
 
@@ -450,9 +450,7 @@ def _level_keep_mask(space: AltMatrixSpace, b: int, best: int, deg_table: np.nda
     max_deg = deg_table[lines_u @ powers].max(axis=1)
     bound = max_deg - (b - 1)
     if m:
-        flats = np.einsum("ubi,kij->ukbj", u_stack, space.tensor).reshape(
-            len(u_stack), m, b * n
-        ) % q
+        flats = np.einsum("ubi,kij->ukbj", u_stack, space.tensor).reshape(len(u_stack), m, b * n)
         r_flat = rank_batched(flats, q, cap=best + b * (b - 1))
         bound = np.maximum(bound, r_flat - b * (b - 1))
     return bound < best
@@ -678,7 +676,8 @@ def _rect_full_space(s: int, t: int, q: int) -> GeneralMatrixSpace:
     sq = field_ext_full_space(r, q)
     mats = sq.tensor[:, :s, :t]
     out = GeneralMatrixSpace.from_matrices(mats, s, t, q)
-    assert out.dim == r
+    if out.dim != r:
+        raise AssertionError(f"the truncated {s} x {t} space must keep dimension {r}")
     return out
 
 

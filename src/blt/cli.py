@@ -1,7 +1,8 @@
 """Command-line surface: graph-conn, space, group, and verify subcommands.
 
 Exit codes: 0 = success / all rows PASS, 1 = a verification failure,
-2 = usage, parse, or guard errors.
+2 = usage, parse, or guard errors, 3 = a sweep row raised (status ERROR;
+the exception goes to stderr as "graph: Type: message").
 """
 
 from __future__ import annotations
@@ -249,14 +250,18 @@ def cmd_verify(args) -> int:
     report = harness.run_verify(cfg, threads=threads, on_row=on_row)
     _write_reports(report, args.out)
 
+    for gid, error in report.errors.items():
+        print(f"error: {gid}: {error}", file=sys.stderr)
     s = report.summary
     print(
-        f"{s['rows']} rows: {s['pass']} PASS, {s['fail']} FAIL "
+        f"{s['rows']} rows: {s['pass']} PASS, {s['fail']} FAIL, {s['error']} ERROR "
         f"({s['map_rows']} with map columns, {s['group_rows']} with group columns)",
         file=sys.stderr,
     )
     stage = ", ".join(f"{lv} {dt:.2f}s" for lv, dt in report.stage_seconds.items() if dt)
     print(f"wall {report.wall_seconds:.2f}s on {threads} worker(s); per stage: {stage}", file=sys.stderr)
+    if s["error"]:
+        return 3
     return 0 if report.all_pass else 1
 
 
@@ -345,7 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(gr, q=False, pp=True)
     gr.set_defaults(func=cmd_group)
 
-    v = sub.add_parser("verify", help="sweep labeled graphs and verify the parameter chain")
+    v = sub.add_parser(
+        "verify",
+        help="sweep labeled graphs and verify the parameter chain",
+        epilog="exit codes: 0 every row PASS, 1 some row FAIL, 2 unusable input or "
+        "configuration, 3 some row raised (ERROR; the exception text goes to stderr)",
+    )
     v.add_argument("--max-n", type=int, default=4, help="largest vertex count (2..6)")
     v.add_argument("--q", type=int, default=3)
     v.add_argument("--p", type=int, default=3)

@@ -10,9 +10,13 @@ Conventions used throughout the package:
 
 Enumeration of subspaces is deterministic: pivot-column patterns in
 lexicographic order, then free entries in row-major base-q counter order.
-The batched kernels at the bottom (rank_batched and friends) do Gaussian
-elimination over a leading batch axis and are the workhorses of the
-connectivity solvers.
+The batched kernel at the bottom, rank_batched, does Gaussian elimination
+over a leading batch axis; every connectivity search ends in it.  It
+eliminates along the shorter side of each matrix, stores the stack
+column-major, never swaps rows (each column's first nonzero row is the pivot
+and cancels itself), and delays reduction mod q until a column is read, in
+the narrowest of int16/int32/int64 that provably holds (q-1)^2 * c + q for
+c columns.  scripts/bench_rank.py times it on fixed shapes.
 """
 
 from __future__ import annotations
@@ -289,7 +293,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"Gaussian binomial [{n} {k}]_{q} is not an integer")
     return num // den
 
 
@@ -369,53 +374,89 @@ def complement_matrices(u_basis: np.ndarray, q: int) -> np.ndarray:
 # Batched kernels
 
 
+def _work_dtype(q: int, c: int):
+    """Narrowest of int16/int32/int64 that holds every value rank_batched forms.
+
+    Proof of the bound: entries start in [0, q).  A column takes one update
+    per earlier column and is reduced when it is read, so it takes at most
+    c - 1 unreduced updates, each subtracting a product of two residues in
+    [0, (q-1)^2].  Every stored value thus lies in [-(c-1)(q-1)^2, q-1],
+    every product and every floor-division step of the reduction within
+    +-((q-1)^2 c + q).
+    """
+    bound = (q - 1) ** 2 * c + q
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in [0, q), as a new array of x's dtype.
+
+    Written as x - q * (x // q): numpy vectorises integer floor division by
+    a scalar, while np.remainder runs several times slower.
+    """
+    y = x // q
+    y *= -q
+    y += x
+    return y
+
+
 def rank_batched(mats: np.ndarray, q: int, cap: Optional[int] = None) -> np.ndarray:
     """Ranks over F_q of a (B, r, c) stack, elimination run in lockstep.
 
-    With `cap` set, elimination stops once every batch entry has found `cap`
-    pivots or run out of columns; reported values saturate at cap.
+    The input need not be reduced mod q; negative entries are fine.  With
+    `cap` set, elimination stops once every batch entry has found `cap`
+    pivots; the values returned are min(rank, cap).
+
+    Kernel:
+    - Orientation: rank(M) = rank(M^t), so the stack is transposed when
+      needed to eliminate along the shorter side, and stored column-major as
+      (columns, B, rows): the columns after the current one are one
+      contiguous block.
+    - Swap-free elimination: in each column the first nonzero row of each
+      entry is its pivot, and a multiple of it is subtracted from every row
+      (itself included), touching only the later columns.  The pivot row
+      cancels itself there, so it is never picked again; no rows move.
+    - Delayed reduction: a column is reduced mod q only when it is read (as
+      the pivot column, or its entries of the pivot rows), and the integer
+      width is the narrowest that the bound in _work_dtype allows: int16
+      for q = 3 up to 8191 columns (the shorter side), int32 or int64
+      beyond, and int32 at any size once q > 181.
     """
-    A = np.ascontiguousarray(mats % q)
-    if A.ndim != 3:
+    mats = np.asarray(mats)
+    if mats.ndim != 3:
         raise ValueError("rank_batched expects a (B, r, c) stack")
-    Bn, r, ncols = A.shape
-    if Bn == 0:
-        return np.zeros(0, dtype=np.int64)
-    inv = _inverse_table(q)
+    Bn, r, c = mats.shape
+    if r < c:
+        mats = mats.transpose(0, 2, 1)
+        r, c = c, r
+    limit = c if cap is None else min(cap, c)
     ranks = np.zeros(Bn, dtype=np.int64)
-    row = np.zeros(Bn, dtype=np.int64)
-    rows_idx = np.arange(r)
-    for col in range(ncols):
-        if cap is not None and (ranks >= cap).all():
+    if Bn == 0 or limit <= 0:
+        return ranks
+    dtype = _work_dtype(q, c)
+    A = np.empty((c, Bn, r), dtype=dtype)
+    A[...] = _mod(mats, q).transpose(2, 0, 1)
+    inv = _inverse_table(q).astype(dtype)
+    batch = np.arange(Bn)
+    buf = np.empty((c - 1, Bn, r), dtype=dtype)
+    for col in range(c):
+        vals = _mod(A[col], q)
+        piv = (vals != 0).argmax(axis=1)
+        pivvals = vals[batch, piv]
+        ranks += pivvals != 0
+        if col == c - 1 or (ranks >= limit).all():
             break
-        if (row >= r).all():
-            break
-        colvals = A[:, :, col]
-        eligible = rows_idx[None, :] >= row[:, None]
-        nz = (colvals != 0) & eligible
-        has = nz.any(axis=1)
-        if cap is not None:
-            has &= ranks < cap
-        bidx = np.nonzero(has)[0]
-        if bidx.size == 0:
-            continue
-        piv = nz[bidx].argmax(axis=1)
-        rsel = row[bidx]
-        swap_needed = piv != rsel
-        sw = bidx[swap_needed]
-        if sw.size:
-            a, b = row[sw], piv[swap_needed]
-            tmp = A[sw, a, :].copy()
-            A[sw, a, :] = A[sw, b, :]
-            A[sw, b, :] = tmp
-        pivvals = A[bidx, rsel, col]
-        A[bidx, rsel, :] = (A[bidx, rsel, :] * inv[pivvals][:, None]) % q
-        below = rows_idx[None, :] > rsel[:, None]
-        factors = np.where(below, A[bidx, :, col], 0)
-        A[bidx] = (A[bidx] - factors[:, :, None] * A[bidx, rsel, :][:, None, :]) % q
-        row[bidx] += 1
-        ranks[bidx] += 1
-    return ranks
+        # entries without a pivot get factor 0 and are left unchanged
+        factors = _mod(vals * inv[pivvals][:, None], q)
+        rest = A[col + 1 :]
+        pivrows = _mod(rest[:, batch, piv], q)
+        prod = buf[: c - col - 1]
+        np.multiply(pivrows[:, :, None], factors[None, :, :], out=prod)
+        rest -= prod
+    return np.minimum(ranks, limit)
 
 
 def projective_lines(n: int, q: int) -> np.ndarray:

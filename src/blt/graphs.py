@@ -281,7 +281,8 @@ def vertex_connectivity(g: Graph):
             value, sep = _vertex_flow(g, s, t)
             if best is None or value < best:
                 best, witness = value, sep
-    assert best is not None
+    if best is None:
+        raise AssertionError("a connected graph that is not complete has a non-adjacent pair")
     return best, witness
 
 
@@ -296,7 +297,8 @@ def edge_connectivity(g: Graph):
         value, cut = _edge_flow(g, 0, t)
         if best is None or value < best:
             best, witness = value, cut
-    assert best is not None
+    if best is None:
+        raise AssertionError("a connected graph on >= 2 vertices has a sink other than 0")
     return best, witness
 
 

@@ -228,7 +228,8 @@ def deg_element(P: BaerGroup, g: GroupElement, *, guard_n: int = DEFAULT_GUARD_N
     hits = int(((vecs @ Mv.T) % P.p == 0).all(axis=1).sum())
     k = 0  # hits is an exact power of p (it counts a subspace)
     while hits > 1:
-        assert hits % P.p == 0
+        if hits % P.p:
+            raise AssertionError(f"centralizer kernel count {hits} is not a power of {P.p}")
         hits //= P.p
         k += 1
     return P.n + P.m - (P.m + k)

@@ -7,7 +7,9 @@ kappa / lambda / delta at each level of the construction chain
 
 and record them side by side.  A row PASSes when the kappa values agree across
 every computed level and the lambda values do too; delta columns are reported
-for inspection but carry no cross-level claim.
+for inspection but carry no cross-level claim.  A row whose computation
+raises is reported as ERROR, with its parameter columns left empty; the
+exception text is kept on the report, out of the rendered rows.
 
 Map and group columns are guarded: the literal map-level searches enumerate
 subspaces of the codomain, so they are computed only when m <= MAP_GUARD_M,
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import gf
@@ -107,11 +109,7 @@ def compute_row(n: int, mask: int, cfg: VerifyConfig) -> Tuple[dict, Dict[str, f
     """One report row plus per-level wall-clock seconds."""
     g = graph_from_mask(n, mask)
     m = len(g.edges)
-    row: dict = {c: None for c in COLUMNS}
-    row["graph"] = graph_id(n, mask)
-    row["n"] = n
-    row["m"] = m
-    row["q"] = cfg.q_label
+    row = _blank_row(n, mask, m, cfg)
     timings: Dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -149,9 +147,27 @@ def compute_row(n: int, mask: int, cfg: VerifyConfig) -> Tuple[dict, Dict[str, f
     return row, timings
 
 
-def _worker(task):
+def _blank_row(n: int, mask: int, m: int, cfg: VerifyConfig) -> dict:
+    row: dict = {c: None for c in COLUMNS}
+    row["graph"] = graph_id(n, mask)
+    row["n"] = n
+    row["m"] = m
+    row["q"] = cfg.q_label
+    return row
+
+
+def _worker(task) -> Tuple[dict, Dict[str, float], Optional[str]]:
+    """(row, timings, error): a raise inside compute_row becomes an ERROR row
+    and its "Type: message" text, so one crash neither ends the sweep nor
+    reads as a FAIL."""
     n, mask, cfg = task
-    return compute_row(n, mask, cfg)
+    try:
+        row, timings = compute_row(n, mask, cfg)
+    except Exception as exc:
+        row = _blank_row(n, mask, bin(mask).count("1"), cfg)
+        row["status"] = "ERROR"
+        return row, {}, f"{type(exc).__name__}: {exc}"
+    return row, timings, None
 
 
 @dataclass
@@ -160,6 +176,7 @@ class VerifyReport:
     rows: List[dict]
     stage_seconds: Dict[str, float]
     wall_seconds: float
+    errors: Dict[str, str] = field(default_factory=dict)  # graph id -> "Type: message"
 
     @property
     def summary(self) -> dict:
@@ -168,13 +185,15 @@ class VerifyReport:
             "rows": len(self.rows),
             "pass": statuses.count("PASS"),
             "fail": statuses.count("FAIL"),
+            "error": statuses.count("ERROR"),
             "map_rows": sum(r["kappa_phi"] is not None for r in self.rows),
             "group_rows": sum(r["kappa_P"] is not None for r in self.rows),
         }
 
     @property
     def all_pass(self) -> bool:
-        return self.summary["fail"] == 0
+        s = self.summary
+        return s["fail"] == 0 and s["error"] == 0
 
 
 def run_verify(
@@ -190,12 +209,15 @@ def run_verify(
     """
     tasks = [(n, mask, cfg) for n, mask in iter_tasks(cfg)]
     rows: List[dict] = []
+    errors: Dict[str, str] = {}
     stage: Dict[str, float] = {lv: 0.0 for lv in LEVELS}
     t0 = time.perf_counter()
 
     def consume(results):
-        for row, timings in results:
+        for row, timings, error in results:
             rows.append(row)
+            if error is not None:
+                errors[row["graph"]] = error
             for lv, dt in timings.items():
                 stage[lv] += dt
             if on_row is not None:
@@ -206,7 +228,7 @@ def run_verify(
     else:
         with multiprocessing.Pool(threads) as pool:
             consume(pool.imap(_worker, tasks, chunksize=8))
-    return VerifyReport(cfg, rows, stage, time.perf_counter() - t0)
+    return VerifyReport(cfg, rows, stage, time.perf_counter() - t0, errors)
 
 
 # ---------------------------------------------------------------------------

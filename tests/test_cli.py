@@ -262,6 +262,29 @@ def test_verify_exit_code_flips_on_fail(capsys, monkeypatch):
     assert "1 FAIL" in err
 
 
+def test_verify_exit_code_3_on_a_raising_row(tmp_path, capsys, monkeypatch):
+    real = harness.kappa_space
+
+    def kappa_space(sp, **kwargs):
+        if sp.n == 3 and sp.dim == 3:  # only the triangle n3e00007
+            raise RuntimeError("boom")
+        return real(sp, **kwargs)
+
+    monkeypatch.setattr(harness, "kappa_space", kappa_space)
+    dest = tmp_path / "report"
+    code, out, err = run(capsys, "verify", "--max-n", "3", "--level", "space",
+                         "--format", "csv", "--threads", "1", "--out", str(dest))
+    assert code == 3
+    assert "error: n3e00007: RuntimeError: boom" in err
+    assert "8 rows: 7 PASS, 0 FAIL, 1 ERROR" in err
+    assert out.rstrip("\n").split("\n")[-1] == "n3e00007,3,3,3,,,,,,,,,,,ERROR"
+    assert "boom" not in out
+    for suffix in (".csv", ".json"):
+        assert "boom" not in (tmp_path / f"report{suffix}").read_text()
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["summary"]["error"] == 1
+
+
 def test_verify_counterexample(capsys):
     code, out, _ = run(capsys, "verify", "--counterexample", "--threads", "1")
     assert code == 0

@@ -159,10 +159,113 @@ def test_rank_batched_matches_rank_gf():
 def test_rank_batched_cap_is_exact_below_cap():
     rng = np.random.default_rng(1)
     mats = rng.integers(0, 3, size=(40, 5, 5))
-    capped = gf.rank_batched(mats, 3, cap=2)
     full = gf.rank_batched(mats, 3)
-    # values below the cap must be exact; at the cap they may be clipped
-    assert (np.minimum(full, 2) == np.minimum(capped, 2)).all()
+    assert len(set(full.tolist())) > 1
+    for cap in range(0, 7):
+        capped = gf.rank_batched(mats, 3, cap=cap)
+        assert capped.dtype == np.int64
+        assert (capped == np.minimum(full, cap)).all()
+
+
+def _assert_ranks_match(mats, q, caps=(None,)):
+    expected = np.array([gf.rank_gf(M, q) for M in mats], dtype=np.int64)
+    for cap in caps:
+        got = gf.rank_batched(mats, q, cap=cap)
+        assert got.dtype == np.int64
+        want = expected if cap is None else np.minimum(expected, cap)
+        assert (got == want).all(), (q, mats.shape, cap)
+
+
+# the int16/int32 switch falls between 181 and 191 already at one column
+WIDTH_QS = (3, 5, 13, 181, 191, 251)
+
+
+@pytest.mark.parametrize("q", WIDTH_QS)
+@pytest.mark.parametrize("shape", [(30, 9, 4), (30, 4, 9), (30, 7, 7), (10, 1, 6), (10, 6, 1)])
+def test_rank_batched_tall_wide_square(q, shape):
+    rng = np.random.default_rng(q * 1000 + shape[1] * 10 + shape[2])
+    mats = rng.integers(0, q, size=shape)
+    mats[:5] = 0  # some zero rows and columns, and some zero matrices
+    mats[:3, :, 0] = 0
+    mats[3:6, 0, :] = 0
+    _assert_ranks_match(mats, q, caps=(None, 0, 1, 3))
+
+
+@pytest.mark.parametrize("q", WIDTH_QS)
+def test_rank_batched_low_rank_products(q):
+    rng = np.random.default_rng(q)
+    for k in (1, 2, 3):
+        left = rng.integers(0, q, size=(20, 8, k))
+        right = rng.integers(0, q, size=(20, k, 6))
+        _assert_ranks_match(left @ right, q, caps=(None, k))
+        _assert_ranks_match((left @ right).transpose(0, 2, 1), q)
+
+
+@pytest.mark.parametrize("q", WIDTH_QS)
+def test_rank_batched_all_top_residue_and_unreduced_input(q):
+    top = np.full((4, 6, 9), q - 1)
+    assert (gf.rank_batched(top, q) == 1).all()
+    rng = np.random.default_rng(q + 7)
+    mats = rng.integers(0, q, size=(25, 6, 8))
+    shifted = mats + q * rng.integers(-40, 40, size=mats.shape)  # unreduced, many negative
+    assert (shifted < 0).any()
+    assert (gf.rank_batched(shifted, q) == gf.rank_batched(mats, q)).all()
+    _assert_ranks_match(shifted, q)
+    assert (gf.rank_batched(-mats, q) == gf.rank_batched(mats, q)).all()
+
+
+def _worst_growth(c: int, q: int, last: int) -> np.ndarray:
+    """c x c matrix whose last entry takes c - 1 unreduced updates of -(q-1)^2.
+
+    Rows j < c-1 are e_j + (q-1) e_{c-1}; each pivots its own column with
+    value 1.  The last row is q-1 in every other column, so each step hits
+    it with factor q-1 times the pivot row's q-1.
+    """
+    M = np.zeros((c, c), dtype=np.int64)
+    M[np.arange(c - 1), np.arange(c - 1)] = 1
+    M[: c - 1, c - 1] = q - 1
+    M[c - 1, : c - 1] = q - 1
+    M[c - 1, c - 1] = last
+    return M
+
+
+@pytest.mark.parametrize("c,dtype", [(227, np.int16), (228, np.int32)])
+def test_rank_batched_at_the_int16_bound_q13(c, dtype):
+    q = 13
+    assert gf._work_dtype(q, c) is dtype
+    # the last pivot value is last - (c-1) mod q: full rank, or rank c - 1
+    singular = (c - 1) % q
+    worst = np.stack([_worst_growth(c, q, 0), _worst_growth(c, q, singular)])
+    assert gf.rank_batched(worst, q).tolist() == [c, c - 1]
+    _assert_ranks_match(worst, q)
+    rng = np.random.default_rng(c)
+    tall = rng.integers(0, q, size=(2, c + 5, c))
+    tall[1, :, 3] = tall[1, :, 1]  # one repeated column: rank c - 1
+    _assert_ranks_match(tall, q, caps=(None, c - 1))
+    _assert_ranks_match(tall.transpose(0, 2, 1), q)
+
+
+def test_work_dtype_follows_the_bound():
+    for q in (3, 5, 13, 181, 191, 251):
+        for c in (1, 2, 10, 227, 228, 8191, 8192, 40000):
+            bound = (q - 1) ** 2 * c + q
+            dtype = gf._work_dtype(q, c)
+            assert bound <= np.iinfo(dtype).max
+            narrower = {np.int32: np.int16, np.int64: np.int32}.get(dtype)
+            assert narrower is None or bound > np.iinfo(narrower).max
+    assert gf._work_dtype(3, 8191) is np.int16
+    assert gf._work_dtype(181, 1) is np.int16
+    assert gf._work_dtype(191, 1) is np.int32
+
+
+def test_rank_batched_empty_shapes():
+    for shape in [(0, 3, 4), (0, 0, 0), (3, 0, 4), (3, 4, 0)]:
+        out = gf.rank_batched(np.zeros(shape, dtype=np.int64), 3)
+        assert out.dtype == np.int64 and out.shape == (shape[0],)
+        assert not out.any()
+        assert not gf.rank_batched(np.zeros(shape, dtype=np.int64), 3, cap=2).any()
+    with pytest.raises(ValueError):
+        gf.rank_batched(np.zeros((3, 3), dtype=np.int64), 3)
 
 
 def test_reduce_mod_rowspace():

@@ -89,7 +89,8 @@ def test_run_verify_order_and_callback():
     report = run_verify(cfg, threads=1, on_row=lambda r: seen.append(r["graph"]))
     assert seen == [r["graph"] for r in report.rows]
     assert seen == sorted(seen)
-    assert report.summary == {"rows": 8, "pass": 8, "fail": 0, "map_rows": 0, "group_rows": 0}
+    assert report.summary == {"rows": 8, "pass": 8, "fail": 0, "error": 0, "map_rows": 0,
+                              "group_rows": 0}
     assert report.all_pass
 
 
@@ -116,13 +117,41 @@ def test_renderers():
     assert doc["config"] == {"max_n": 2, "q": 3, "p": 3, "level": "all",
                              "force": False}
     assert doc["rows"][0]["status"] == "PASS"
-    assert doc["summary"]["pass"] == 1
+    assert doc["summary"] == {"rows": 1, "pass": 1, "fail": 0, "error": 0,
+                              "map_rows": 1, "group_rows": 1}
 
     header = harness.text_header()
     body = harness.text_row(report.rows[0])
     assert header.split()[0] == "graph"
     assert body.split()[0] == "n2e00001"
     assert body.endswith("PASS")
+
+
+def _kappa_space_raising_on_triangle(monkeypatch):
+    real = harness.kappa_space
+
+    def kappa_space(sp, **kwargs):
+        if sp.n == 3 and sp.dim == 3:  # only the triangle n3e00007
+            raise RuntimeError("boom")
+        return real(sp, **kwargs)
+
+    monkeypatch.setattr(harness, "kappa_space", kappa_space)
+
+
+def test_raising_row_is_error_not_fail(monkeypatch):
+    _kappa_space_raising_on_triangle(monkeypatch)
+    report = run_verify(VerifyConfig(max_n=3, level="space"), threads=1)
+    statuses = {r["graph"]: r["status"] for r in report.rows}
+    assert statuses.pop("n3e00007") == "ERROR"
+    assert set(statuses.values()) == {"PASS"}
+    assert report.summary == {"rows": 8, "pass": 7, "fail": 0, "error": 1,
+                              "map_rows": 0, "group_rows": 0}
+    assert not report.all_pass
+    assert report.errors == {"n3e00007": "RuntimeError: boom"}
+    assert harness.csv_row(report.rows[-1]) == "n3e00007,3,3,3,,,,,,,,,,,ERROR"
+    # the exception text stays out of the deterministic reports
+    assert "boom" not in harness.render_csv(report)
+    assert "boom" not in harness.render_json(report)
 
 
 def test_summary_counts_guarded_columns():
