@@ -45,24 +45,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import gf
-from .gf import Subspace, field, rank_batched, subspace_matrices
+from .gf import GuardExceeded  # noqa: F401  (re-exported; defined with the budgets in gf)
+from .gf import Subspace, check_guard, field, rank_batched, subspace_matrices
 from .graphs import Graph
 
-DEFAULT_GUARD_N = 6
-DEFAULT_GUARD_M = 8
 _CHUNK = 4096
-
-
-class GuardExceeded(ValueError):
-    """A brute-force solver was asked to exceed its size guard."""
-
-
-def _check_guard(what: str, value: int, guard: int, force: bool):
-    if value > guard and not force:
-        raise GuardExceeded(
-            f"{what}={value} exceeds the brute-force guard {guard}; pass force=True "
-            "(CLI: --force) to run anyway"
-        )
 
 
 def is_alternating(mat: np.ndarray, q: int) -> bool:
@@ -325,12 +312,10 @@ def validate_orth_witness(space: AltMatrixSpace, w: OrthWitness) -> bool:
 # kappa
 
 
-def kappa_space(
-    space: AltMatrixSpace, *, guard_n: int = DEFAULT_GUARD_N, force: bool = False
-) -> Tuple[int, Subspace]:
+def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Subspace]:
     """(kappa, W): smallest c with a decomposable restriction, dim W = n - c."""
     n, q = space.n, space.q
-    _check_guard("n", n, guard_n, force)
+    check_guard("n", n, gf.GUARD_N, force)
     best = n - 1
     best_u: Optional[np.ndarray] = None
     for b in range(1, n // 2 + 1):
@@ -353,12 +338,10 @@ def kappa_space(
     return best, W
 
 
-def kappa_space_bruteforce(
-    space: AltMatrixSpace, *, guard_n: int = 5, force: bool = False
-) -> Tuple[int, Subspace]:
+def kappa_space_bruteforce(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Subspace]:
     """Literal search: c ascending, restrictions in canonical order."""
     n, q = space.n, space.q
-    _check_guard("n", n, guard_n, force)
+    check_guard("n", n, gf.BRUTEFORCE_GUARD_N, force)
     for c in range(n):
         for w_rows in subspace_matrices(n, n - c, q):
             W = Subspace.from_vectors(np.array(w_rows), n, q)
@@ -439,8 +422,7 @@ def _level_keep_mask(space: AltMatrixSpace, b: int, best: int, deg_table: np.nda
       cut >= deg(u) - (b - 1) for every line u in U;
     - summing the same loss over a basis of U, cut >= dim{B_U A} - b(b-1).
     Both are independent of the choice of V, so U is skipped outright when
-    either bound reaches best.  Only the strictly-smaller search uses this;
-    the witness rescan for equality runs unfiltered.
+    either bound reaches best.
     """
     n, q, m = space.n, space.q, space.dim
     u_stack = subspace_matrices(n, b, q)
@@ -456,70 +438,55 @@ def _level_keep_mask(space: AltMatrixSpace, b: int, best: int, deg_table: np.nda
     return bound < best
 
 
-def lambda_space(
-    space: AltMatrixSpace, *, guard_n: int = DEFAULT_GUARD_N, force: bool = False
-) -> LambdaResult:
+def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     """Minimum cut dimension over direct sum splits of F^n.
 
     Search: splits with dim U = 1 all share cut dimension deg(u) (the cut
     functionals kill u, so restriction to any complement is faithful), hence
     the dim-1 pass contributes exactly delta.  Larger U are scanned with a
-    sound lower-bound filter and batched rank computation; the witness pair
-    is then re-derived in canonical enumeration order.
+    sound lower-bound filter and batched rank computation.
+
+    The witness is the first split in canonical order (b ascending, then U in
+    subspace_matrices order, then V in complement_matrices order) whose cut
+    dimension is lambda, and it is recorded during the one search.  A U that
+    the filter skips has cut >= its bound >= the best at the start of its
+    level, and a U scanned before a drop has minimum cut >= the best of that
+    moment; so the U of the last strict drop is the first U in canonical order
+    whose minimum cut is lambda, and the first argmin over its complements is
+    its first V.  With no drop, lambda = delta, and the first line of degree
+    delta (the delta_space witness) comes before every split with b >= 2.
     """
-    n, q, m = space.n, space.q, space.dim
+    n, q = space.n, space.q
     if n < 2:
         raise ValueError("lambda needs ambient dimension >= 2")
-    _check_guard("n", n, guard_n, force)
+    check_guard("n", n, gf.GUARD_N, force)
     dec, w = is_orth_decomposable(space)
     if dec:
         if w is None:
             raise AssertionError("a decomposable space of dimension >= 2 has a split")
         return LambdaResult(0, w.U, w.V, space)
-    best = delta_space(space)[0]  # the dim-1 pass
+    best, v = delta_space(space)  # the dim-1 pass
+    u_rows = v[None, :]
+    v_rows = gf.complement_matrices(u_rows, q)[0]
     if best > 1:
         deg_table = _degree_code_table(space)
         for b in range(2, n // 2 + 1):
             keep = _level_keep_mask(space, b, best, deg_table)
             Us = subspace_matrices(n, b, q)
             for u_idx in np.flatnonzero(keep):
-                if best <= 1:
-                    break
                 ranks = _cut_ranks_for_u(space, np.array(Us[u_idx]), cap=best)
-                mn = int(ranks.min())
-                if mn < best:
-                    best = mn
+                j = int(ranks.argmin())
+                if ranks[j] < best:
+                    best = int(ranks[j])
+                    u_rows = np.array(Us[u_idx])
+                    v_rows = gf.complement_matrices(u_rows, q)[j]
+                    if best <= 1:
+                        break
             if best <= 1:
                 break
-    value = best
-    U, V = _lambda_witness(space, value)
-    vanishing = _cut_kernel(space, U, V)
-    return LambdaResult(value, U, V, vanishing)
-
-
-def _lambda_witness(space: AltMatrixSpace, value: int):
-    """First split (U, V) in canonical order whose cut dimension equals value."""
-    n, q = space.n, space.q
-    hits = np.nonzero(_line_degrees(space) == value)[0]
-    if hits.size:
-        u_rows = np.array(subspace_matrices(n, 1, q)[hits[0]])
-        v_rows = gf.complement_matrices(u_rows, q)[0]
-        return (
-            Subspace.from_vectors(u_rows, n, q),
-            Subspace.from_vectors(v_rows, n, q),
-        )
-    for b in range(2, n // 2 + 1):
-        for u_rows in subspace_matrices(n, b, q):
-            u_rows = np.array(u_rows)
-            ranks = _cut_ranks_for_u(space, u_rows, cap=value + 1)
-            hits = np.nonzero(ranks == value)[0]
-            if hits.size:
-                v_rows = gf.complement_matrices(u_rows, q)[hits[0]]
-                return (
-                    Subspace.from_vectors(u_rows, n, q),
-                    Subspace.from_vectors(v_rows, n, q),
-                )
-    raise AssertionError("lambda witness must exist at the computed value")
+    U = Subspace.from_vectors(u_rows, n, q)
+    V = Subspace.from_vectors(v_rows, n, q)
+    return LambdaResult(best, U, V, _cut_kernel(space, U, V))
 
 
 def _cut_kernel(space: AltMatrixSpace, U: Subspace, V: Subspace) -> AltMatrixSpace:
@@ -533,9 +500,7 @@ def _cut_kernel(space: AltMatrixSpace, U: Subspace, V: Subspace) -> AltMatrixSpa
     return AltMatrixSpace.from_matrices(mats, space.n, q)
 
 
-def lambda_space_oracle(
-    space: AltMatrixSpace, *, guard_m: int = DEFAULT_GUARD_M - 2, force: bool = False
-):
+def lambda_space_oracle(space: AltMatrixSpace, *, force: bool = False):
     """Literal definition of lambda: smallest codimension of a decomposable
     subspace of the space itself.  Enumerates coefficient subspaces of F^m.
 
@@ -543,7 +508,7 @@ def lambda_space_oracle(
     n, q, m = space.n, space.q, space.dim
     if n < 2:
         raise ValueError("lambda needs ambient dimension >= 2")
-    _check_guard("m", m, guard_m, force)
+    check_guard("m", m, gf.ORACLE_GUARD_M, force)
     flat = space.tensor.reshape(m, n * n) if m else np.zeros((0, n * n), dtype=np.int64)
     for c in range(m + 1):
         for coeffs in subspace_matrices(m, m - c, q) if m else [np.zeros((0, 0))]:
@@ -752,22 +717,49 @@ def space_to_json(space: AltMatrixSpace) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def space_from_json(text: str) -> AltMatrixSpace:
+def matrices_from_json(text: str, kind: str, modulus: str, stack: str, count: Optional[str] = None):
+    """(q, n, matrices) from a JSON object {modulus: q, "n": n, stack: [...]}.
+
+    The one reader behind space_from_json, map_from_json and group_from_json.
+    It checks, in this order: the JSON itself, the keys (count, when given,
+    names the key that must equal the number of matrices), that q, n and the
+    count are integers, the field, the shape (a list of n x n matrices of
+    integers) and that every entry is a residue in [0, q).  Every failure is
+    a ValueError.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
-    for key in ("q", "n", "matrices"):
+    if not isinstance(payload, dict):
+        raise ValueError(f"{kind} JSON must be an object")
+    scalars = (modulus, "n") + ((count,) if count else ())
+    for key in scalars + (stack,):
         if key not in payload:
-            raise ValueError(f"matrix-space JSON missing key '{key}'")
-    q, n = payload["q"], payload["n"]
-    if not (isinstance(q, int) and isinstance(n, int)):
-        raise ValueError("'q' and 'n' must be integers")
+            raise ValueError(f"{kind} JSON missing key '{key}'")
+    for key in scalars:
+        if not _is_int(payload[key]):
+            raise ValueError(f"'{key}' must be an integer")
+    q, n, mats = payload[modulus], payload["n"], payload[stack]
     field(q)
-    mats = payload["matrices"]
-    arr = np.array(mats, dtype=np.int64) if mats else np.zeros((0, n, n), dtype=np.int64)
-    if arr.ndim != 3 or arr.shape[1:] != (n, n):
-        raise ValueError(f"'matrices' must be a list of {n} x {n} integer matrices")
+    if n < 1:
+        raise ValueError("'n' must be >= 1")
+    if not isinstance(mats, list):
+        raise ValueError(f"'{stack}' must be a list of matrices")
+    if count and len(mats) != payload[count]:
+        raise ValueError(f"'{count}' does not match the number of matrices in '{stack}'")
+    arr = np.array(mats, dtype=object) if mats else np.zeros((0, n, n), dtype=object)
+    if arr.ndim != 3 or arr.shape[1:] != (n, n) or not all(_is_int(x) for x in arr.flat):
+        raise ValueError(f"'{stack}' must be a list of {n} x {n} integer matrices")
     if (arr < 0).any() or (arr >= q).any():
         raise ValueError(f"matrix entries must be residues in [0, {q})")
+    return q, n, arr.astype(np.int64)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def space_from_json(text: str) -> AltMatrixSpace:
+    q, n, arr = matrices_from_json(text, "matrix-space", "q", "matrices")
     return AltMatrixSpace.from_matrices(arr, n, q)

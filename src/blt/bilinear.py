@@ -27,14 +27,12 @@ import numpy as np
 
 from . import gf
 from .altspace import (
-    DEFAULT_GUARD_M,
-    DEFAULT_GUARD_N,
     AltMatrixSpace,
-    _check_guard,
     is_alternating,
     is_orth_decomposable,
+    matrices_from_json,
 )
-from .gf import Subspace, field, subspace_matrices
+from .gf import Subspace, check_guard, field, subspace_matrices
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,7 @@ def is_map_decomposable(phi: AltBilinearMap):
     return is_orth_decomposable(phi.span())
 
 
-def kappa_map(
-    phi: AltBilinearMap, *, guard_n: int = DEFAULT_GUARD_N, force: bool = False
-) -> Tuple[int, Subspace]:
+def kappa_map(phi: AltBilinearMap, *, force: bool = False) -> Tuple[int, Subspace]:
     """Smallest c such that phi restricted to some (n-c)-dim U decomposes.
 
     Literal search: c ascending, U in canonical order.  Restrictions to lines
@@ -150,7 +146,7 @@ def kappa_map(
     always terminates the search.
     """
     n, q = phi.n, phi.q
-    _check_guard("n", n, guard_n, force)
+    check_guard("n", n, gf.GUARD_N, force)
     for c in range(n):
         for u_rows in subspace_matrices(n, n - c, q):
             U = Subspace.from_vectors(np.array(u_rows), n, q)
@@ -159,15 +155,13 @@ def kappa_map(
     raise AssertionError("restriction to a line is a zero map and must decompose")
 
 
-def lambda_map(
-    phi: AltBilinearMap, *, guard_m: int = DEFAULT_GUARD_M, force: bool = False
-) -> Tuple[int, Subspace]:
+def lambda_map(phi: AltBilinearMap, *, force: bool = False) -> Tuple[int, Subspace]:
     """Smallest c such that phi quotiented by some c-dim X decomposes.
 
     Quotienting by the full codomain gives the zero map, so c = m terminates.
     """
     m, q = phi.m, phi.q
-    _check_guard("m", m, guard_m, force)
+    check_guard("m", m, gf.LAMBDA_MAP_GUARD_M, force)
     if m == 0:
         ok, _ = is_map_decomposable(phi)
         if not ok:
@@ -196,21 +190,5 @@ def map_to_json(phi: AltBilinearMap) -> str:
 
 
 def map_from_json(text: str) -> AltBilinearMap:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    for key in ("q", "n", "codomain_dim", "matrices"):
-        if key not in payload:
-            raise ValueError(f"bilinear-map JSON missing key '{key}'")
-    q, n = payload["q"], payload["n"]
-    field(q)
-    mats = payload["matrices"]
-    if len(mats) != payload["codomain_dim"]:
-        raise ValueError("codomain_dim does not match the number of matrices")
-    arr = np.array(mats, dtype=np.int64) if mats else np.zeros((0, n, n), dtype=np.int64)
-    if arr.ndim != 3 or arr.shape[1:] != (n, n):
-        raise ValueError(f"'matrices' must be a list of {n} x {n} integer matrices")
-    if (arr < 0).any() or (arr >= q).any():
-        raise ValueError(f"matrix entries must be residues in [0, {q})")
+    q, n, arr = matrices_from_json(text, "bilinear-map", "q", "matrices", count="codomain_dim")
     return AltBilinearMap.from_matrices(arr, n, q)

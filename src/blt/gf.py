@@ -30,6 +30,37 @@ import numpy as np
 
 MAX_Q = 251
 
+# Size budgets of the exhaustive searches, each set here and nowhere else.  A
+# search past its budget raises GuardExceeded unless force=True (CLI:
+# --force); MAX_N_CAP is a hard cap of the sweep that force does not lift.
+GUARD_N = 6  # n: kappa_space, lambda_space, kappa_map, deg_element, delta_group
+BRUTEFORCE_GUARD_N = 5  # n: kappa_space_bruteforce
+ORACLE_GUARD_M = 6  # space dimension m: lambda_space_oracle
+LAMBDA_MAP_GUARD_M = 8  # codomain dimension m: lambda_map
+# n + m, the exponent of the group order: the structured kappa_group,
+# lambda_group and is_centrally_decomposable, and the sweep's group columns.
+# Their cost grows with p^(n+m) through the number of quotient candidates.
+# n + m = 6 admits every graph on up to 3 vertices (K_3 gives 3^6); past it
+# the fast path through the commutator map applies.
+GROUP_GUARD_EXP = 6
+TABLE_GUARD_ORDER = 3**5  # group order: lattice.small_group builds a Cayley table
+LATTICE_GUARD_ORDER = 3**4  # group order: all_subgroups, literal_kappa, literal_lambda
+SWEEP_MAP_GUARD_M = 4  # m: the sweep's map columns
+MAX_N_CAP = 6  # n: the largest graphs the sweep enumerates
+
+
+class GuardExceeded(ValueError):
+    """A brute-force solver was asked to exceed its size guard."""
+
+
+def check_guard(what: str, value: int, guard: int, force: bool):
+    """Raise GuardExceeded when value > guard, unless force."""
+    if value > guard and not force:
+        raise GuardExceeded(
+            f"{what}={value} exceeds the brute-force guard {guard}; pass force=True "
+            "(CLI: --force) to run anyway"
+        )
+
 
 def is_prime(n: int) -> bool:
     if n < 2:

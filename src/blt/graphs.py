@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Tuple
-
-Edge = Tuple[int, int]
+from typing import Iterator, Optional
 
 
 @dataclass(frozen=True)

@@ -40,16 +40,9 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from . import gf
-from .altspace import DEFAULT_GUARD_N, _check_guard
+from .altspace import matrices_from_json
 from .bilinear import AltBilinearMap, is_surjective, kappa_map, lambda_map
-from .gf import Subspace, field, rank_batched, reduce_mod_rowspace, subspace_matrices
-
-# The structured decomposition search walks subspace pairs of F_p^n; its cost
-# is driven by p^(n+m) through the number of quotient candidates, so the
-# guard is phrased on the group order exponent.  n + m = 6 admits every graph
-# on up to 3 vertices (K_3 gives 3^6) which the small-scale verification
-# sweeps need; beyond that the fast path through the commutator map applies.
-DEFAULT_GUARD_EXP = 6
+from .gf import Subspace, check_guard, field, rank_batched, reduce_mod_rowspace, subspace_matrices
 
 
 @dataclass(frozen=True)
@@ -214,7 +207,7 @@ def is_regular(P: BaerGroup, S: StandardSubgroup) -> bool:
 # Degrees
 
 
-def deg_element(P: BaerGroup, g: GroupElement, *, guard_n: int = DEFAULT_GUARD_N, force: bool = False) -> int:
+def deg_element(P: BaerGroup, g: GroupElement, *, force: bool = False) -> int:
     """n + m - log_p |C_P(g)|, the centralizer measured by exhaustive count.
 
     (w, x) commutes with g iff phi(v_g, w) = 0: the u-parts cancel in the
@@ -222,7 +215,7 @@ def deg_element(P: BaerGroup, g: GroupElement, *, guard_n: int = DEFAULT_GUARD_N
     needs to walk F_p^n.  The guard is therefore on n; the u-independence is
     cross-checked against full-element scans in the tests.
     """
-    _check_guard("n", P.n, guard_n, force)
+    check_guard("n", P.n, gf.GUARD_N, force)
     vecs = gf.all_vectors(P.n, P.p)
     Mv = np.einsum("kij,i->kj", P.phi.tensor, np.array(g.v, dtype=np.int64)) % P.p
     hits = int(((vecs @ Mv.T) % P.p == 0).all(axis=1).sum())
@@ -241,17 +234,17 @@ def deg_element_by_rank(P: BaerGroup, g: GroupElement) -> int:
     return gf.rank_gf(Mv, P.p)
 
 
-def delta_group(P: BaerGroup, *, guard_n: int = DEFAULT_GUARD_N, force: bool = False) -> Tuple[int, GroupElement]:
+def delta_group(P: BaerGroup, *, force: bool = False) -> Tuple[int, GroupElement]:
     """Minimum degree over g outside [P, P] (i.e. with nonzero v-part).
 
     deg(g) depends only on the line of v_g, so one representative per
     projective line is scanned.
     """
-    _check_guard("n", P.n, guard_n, force)
+    check_guard("n", P.n, gf.GUARD_N, force)
     best, best_g = None, None
     for v in gf.projective_lines(P.n, P.p):
         g = P.element(tuple(int(x) for x in v), (0,) * P.m)
-        d = deg_element(P, g, guard_n=guard_n, force=force)
+        d = deg_element(P, g, force=force)
         if best is None or d < best:
             best, best_g = d, g
     return best, best_g
@@ -332,7 +325,6 @@ def is_centrally_decomposable(
     P: BaerGroup,
     modulo: Optional[Subspace] = None,
     *,
-    guard_exp: int = DEFAULT_GUARD_EXP,
     force: bool = False,
 ):
     """Is P (or P / N_modulo for modulo <= F^m) a central product of two
@@ -340,7 +332,7 @@ def is_centrally_decomposable(
     X = modulo if modulo is not None else Subspace.zero(P.m, P.p)
     if X.n != P.m or X.q != P.p:
         raise ValueError("modulo must be a subspace of the codomain F_p^m")
-    _check_guard("n+m", P.n + P.m, guard_exp, force)
+    check_guard("n+m", P.n + P.m, gf.GROUP_GUARD_EXP, force)
     return _pair_decomposable(P, Subspace.full(P.n, P.p), X)
 
 
@@ -377,7 +369,6 @@ def kappa_group(
     P: BaerGroup,
     method: str = "structured",
     *,
-    guard_exp: int = DEFAULT_GUARD_EXP,
     force: bool = False,
 ) -> KappaGroupResult:
     """Smallest s with a centrally decomposable regular S, |S/[S,S]| = p^(n-s).
@@ -395,7 +386,7 @@ def kappa_group(
         return KappaGroupResult(value, regular_subgroup(P, U), None)
     if method != "structured":
         raise ValueError("method must be 'structured' or 'fast'")
-    _check_guard("n+m", P.n + P.m, guard_exp, force)
+    check_guard("n+m", P.n + P.m, gf.GROUP_GUARD_EXP, force)
     zero = Subspace.zero(P.m, P.p)
     for s in range(P.n):
         for u_rows in subspace_matrices(P.n, P.n - s, P.p):
@@ -410,7 +401,6 @@ def lambda_group(
     P: BaerGroup,
     method: str = "structured",
     *,
-    guard_exp: int = DEFAULT_GUARD_EXP,
     force: bool = False,
 ) -> LambdaGroupResult:
     """Smallest s with P/N centrally decomposable, N <= [P,P] of order p^s.
@@ -428,7 +418,7 @@ def lambda_group(
         return LambdaGroupResult(value, central_subgroup(P, X), None)
     if method != "structured":
         raise ValueError("method must be 'structured' or 'fast'")
-    _check_guard("n+m", P.n + P.m, guard_exp, force)
+    check_guard("n+m", P.n + P.m, gf.GROUP_GUARD_EXP, force)
     full = Subspace.full(P.n, P.p)
     for s in range(P.m + 1):
         for x_rows in subspace_matrices(P.m, s, P.p):
@@ -454,22 +444,7 @@ def group_to_json(P: BaerGroup) -> str:
 
 
 def group_from_json(text: str) -> BaerGroup:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    for key in ("p", "n", "m", "phi"):
-        if key not in payload:
-            raise ValueError(f"group JSON missing key '{key}'")
-    p, n, m = payload["p"], payload["n"], payload["m"]
-    mats = payload["phi"]
-    if len(mats) != m:
-        raise ValueError("'m' does not match the number of matrices in 'phi'")
-    arr = np.array(mats, dtype=np.int64) if mats else np.zeros((0, n, n), dtype=np.int64)
-    if arr.ndim != 3 or arr.shape[1:] != (n, n):
-        raise ValueError(f"'phi' must be a list of {n} x {n} integer matrices")
-    if (arr < 0).any() or (arr >= p).any():
-        raise ValueError(f"matrix entries must be residues in [0, {p})")
+    p, n, arr = matrices_from_json(text, "group", "p", "phi", count="m")
     return BaerGroup(p, AltBilinearMap.from_matrices(arr, n, p))
 
 

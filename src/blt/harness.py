@@ -12,9 +12,11 @@ raises is reported as ERROR, with its parameter columns left empty; the
 exception text is kept on the report, out of the rendered rows.
 
 Map and group columns are guarded: the literal map-level searches enumerate
-subspaces of the codomain, so they are computed only when m <= MAP_GUARD_M,
+subspaces of the codomain, so they are computed only when m <= SWEEP_MAP_GUARD_M,
 and the structured group-level searches only when the group order p^(n+m)
-stays at or below p^GROUP_GUARD_EXP.  force=True lifts both guards.
+stays at or below p^GROUP_GUARD_EXP.  force=True lifts both guards but not
+MAX_N_CAP.  All three are gf budget constants; GROUP_GUARD_EXP is also the
+structured group searches' own guard.
 
 Reports are deterministic: rows are emitted in graph-id order regardless of
 worker scheduling, and the CSV / JSON renderings contain nothing that varies
@@ -32,6 +34,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from . import gf
 from .altspace import delta_space, kappa_space, lambda_space, space_from_graph
 from .bilinear import kappa_map, lambda_map, map_from_space
+from .gf import GROUP_GUARD_EXP, MAX_N_CAP, SWEEP_MAP_GUARD_M
 from .graphs import (
     edge_connectivity,
     graph_from_mask,
@@ -39,10 +42,6 @@ from .graphs import (
     vertex_connectivity,
 )
 from .group import group_from_graph, kappa_group, lambda_group
-
-MAX_N_CAP = 6  # hard cap, not lifted by force
-MAP_GUARD_M = 4
-GROUP_GUARD_EXP = 6
 
 LEVELS = ("graph", "space", "map", "group")
 
@@ -126,7 +125,7 @@ def compute_row(n: int, mask: int, cfg: VerifyConfig) -> Tuple[dict, Dict[str, f
         row["delta_A"] = delta_space(sp)[0]
         timings["space"] = time.perf_counter() - t0
 
-    if cfg.depth >= 2 and (m <= MAP_GUARD_M or cfg.force):
+    if cfg.depth >= 2 and (m <= SWEEP_MAP_GUARD_M or cfg.force):
         t0 = time.perf_counter()
         phi = map_from_space(sp)
         row["kappa_phi"] = kappa_map(phi, force=cfg.force)[0]

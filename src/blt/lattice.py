@@ -19,12 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .altspace import _check_guard
-from .gf import all_vectors, subspace_matrices
+from .gf import LATTICE_GUARD_ORDER, TABLE_GUARD_ORDER, all_vectors, check_guard, subspace_matrices
 from .group import BaerGroup, GroupElement, center
-
-DEFAULT_TABLE_ORDER = 3**5
-DEFAULT_LATTICE_ORDER = 3**4
 
 
 @dataclass(frozen=True)
@@ -40,16 +36,11 @@ class SmallGroup:
         return len(self.labels)
 
 
-def _element_table(P: BaerGroup) -> np.ndarray:
-    """All (v, u) concatenated vectors in base-p counter order; row 0 is 0."""
-    return all_vectors(P.n + P.m, P.p)
-
-
-def small_group(P: BaerGroup, *, guard_order: int = DEFAULT_TABLE_ORDER, force: bool = False) -> SmallGroup:
+def small_group(P: BaerGroup, *, force: bool = False) -> SmallGroup:
     """Materialize the full Cayley table of P."""
-    _check_guard("order", P.order, guard_order, force)
+    check_guard("order", P.order, TABLE_GUARD_ORDER, force)
     n, m, p = P.n, P.m, P.p
-    W = _element_table(P)
+    W = all_vectors(n + m, p)  # (v, u) in base-p counter order; row 0 is the identity
     V, U = W[:, :n], W[:, n:]
     half = (p + 1) // 2
     cross = np.einsum("ai,kij,bj->abk", V, P.phi.tensor, V) % p
@@ -82,11 +73,9 @@ def closure(mul: np.ndarray, gens: Sequence[int]) -> Tuple[int, ...]:
         cur = prods
 
 
-def all_subgroups(
-    sg: SmallGroup, *, guard_order: int = DEFAULT_LATTICE_ORDER, force: bool = False
-) -> List[Tuple[int, ...]]:
+def all_subgroups(sg: SmallGroup, *, force: bool = False) -> List[Tuple[int, ...]]:
     """Every subgroup, by breadth-first closure extension from the trivial one."""
-    _check_guard("order", sg.order, guard_order, force)
+    check_guard("order", sg.order, LATTICE_GUARD_ORDER, force)
     trivial = (0,)
     seen = {trivial}
     queue = [trivial]
@@ -128,14 +117,14 @@ def is_cyclic_or_trivial(sg: SmallGroup, H: Sequence[int]) -> bool:
 
 
 def literal_centrally_decomposable(
-    sg: SmallGroup, subgroups: Optional[List[Tuple[int, ...]]] = None, **guard_kw
+    sg: SmallGroup, subgroups: Optional[List[Tuple[int, ...]]] = None, *, force: bool = False
 ):
     """Scan subgroup pairs for a central product: J K = G, [J, K] = 1, both
     proper.  Cyclic and trivial groups count as decomposable by convention."""
     if is_cyclic_or_trivial(sg, range(sg.order)):
         return True, None
     if subgroups is None:
-        subgroups = all_subgroups(sg, **guard_kw)
+        subgroups = all_subgroups(sg, force=force)
     proper = [h for h in subgroups if 1 < len(h) < sg.order]
     for i, J in enumerate(proper):
         ja = np.asarray(J, dtype=np.int64)
@@ -199,12 +188,13 @@ def _log_exact(value: int, p: int) -> int:
     return k
 
 
-def literal_kappa(P: BaerGroup, *, guard_order: int = DEFAULT_LATTICE_ORDER, force: bool = False) -> int:
+def literal_kappa(P: BaerGroup, *, force: bool = False) -> int:
     """kappa by brute force over the whole subgroup lattice: minimum s over
     ALL regular subgroups S (not just the structured S_U family) with
     |S/[S,S]| = p^(n-s) that are literally centrally decomposable."""
-    sg = small_group(P, guard_order=guard_order, force=force)
-    subgroups = all_subgroups(sg, guard_order=guard_order, force=force)
+    check_guard("order", P.order, LATTICE_GUARD_ORDER, force)  # before the table
+    sg = small_group(P, force=force)
+    subgroups = all_subgroups(sg, force=force)
     comm_set = set(derived_subgroup(sg, range(sg.order)))
     best = None
     for S in subgroups:
@@ -227,14 +217,14 @@ def literal_lambda(
     P: BaerGroup,
     within_commutator: bool = True,
     *,
-    guard_order: int = DEFAULT_LATTICE_ORDER,
     force: bool = False,
 ) -> int:
     """lambda by brute force: minimum log_p |N| over central subgroups N
     (restricted to N <= [P,P] by default, or fully unrestricted) such that
     P/N is literally centrally decomposable."""
-    sg = small_group(P, guard_order=guard_order, force=force)
-    subgroups = all_subgroups(sg, guard_order=guard_order, force=force)
+    check_guard("order", P.order, LATTICE_GUARD_ORDER, force)  # before the table
+    sg = small_group(P, force=force)
+    subgroups = all_subgroups(sg, force=force)
     zcenter = set(center_indices(sg))
     allowed = set(derived_subgroup(sg, range(sg.order))) if within_commutator else zcenter
     best = None
@@ -245,7 +235,7 @@ def literal_lambda(
         if best is not None and s >= best:
             continue
         quo = quotient_by_central(sg, N)
-        ok, _ = literal_centrally_decomposable(quo, guard_order=guard_order, force=force)
+        ok, _ = literal_centrally_decomposable(quo, force=force)
         if ok:
             best = s
     return best

@@ -1,15 +1,21 @@
 """Alternating matrix spaces: construction, kappa, lambda, delta."""
 
+import ast
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blt import altspace, gf
+import blt
+from blt import altspace, bilinear, gf
 from blt.altspace import (
     AltMatrixSpace,
     OrthWitness,
     GuardExceeded,
+    cut_dim,
     delta_space,
     elementary_alt,
     field_ext_full_space,
@@ -31,7 +37,10 @@ from blt.altspace import (
     space_to_json,
     validate_orth_witness,
 )
+from blt.bilinear import map_from_json, map_from_space
+from blt.group import group_from_json
 from blt.graphs import (
+    Graph,
     all_labeled_graphs,
     complete_graph,
     cycle_graph,
@@ -229,8 +238,8 @@ def test_lambda_matches_oracle_graphs_q5():
 
 
 def test_lambda_pruned_level_still_exact():
-    # C_4: the canonical witness pair is pruned from the value scan but must
-    # still come out of the unfiltered witness pass; oracle confirms the value
+    # C_4: lambda = delta, so the pruned levels must keep the dim-1 witness;
+    # the oracle confirms the value
     sp = space_from_graph(cycle_graph(4), 3)
     res = lambda_space(sp)
     assert res.value == lambda_space_oracle(sp)[0] == 2
@@ -240,6 +249,66 @@ def test_lambda_pruned_level_still_exact():
 
     for g in (cycle_graph(6), complete_graph(5)):
         assert lambda_space(space_from_graph(g, 3)).value == edge_connectivity(g)[0]
+
+
+def _first_split_at(space, value):
+    """Unpruned scan: the first split (U, V) in canonical order (b ascending,
+    U in subspace_matrices order, V in complement_matrices order) whose cut
+    dimension is value."""
+    n, q = space.n, space.q
+    for b in range(1, n):
+        for u_rows in gf.subspace_matrices(n, b, q):
+            Vs = gf.complement_matrices(u_rows, q)
+            cuts = np.einsum("bi,kij,vcj->vkbc", u_rows, space.tensor, Vs) % q
+            hits = np.flatnonzero(gf.rank_batched(cuts.reshape(len(Vs), space.dim, -1), q) == value)
+            if hits.size:
+                U = gf.Subspace.from_vectors(u_rows, n, q)
+                V = gf.Subspace.from_vectors(Vs[hits[0]], n, q)
+                assert cut_dim(space, U, V) == value
+                return U, V
+    raise AssertionError(f"no split has cut dimension {value}")
+
+
+def test_lambda_witness_is_first_canonical_split_below_delta():
+    # lambda < delta: the witness comes from a level b >= 2 that the keep-mask
+    # prunes, and must still be the first split in canonical order
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(60):
+        n = int(rng.integers(4, 6))
+        sp = random_alt_space(n, int(rng.integers(1, n * (n - 1) // 2 + 1)), 3, rng)
+        res = lambda_space(sp)
+        if not 0 < res.value < delta_space(sp)[0]:
+            continue
+        assert (res.U, res.V) == _first_split_at(sp, res.value)
+        assert validate_orth_witness(res.vanishing, OrthWitness(res.U, res.V))
+        checked += 1
+    assert checked >= 5
+
+
+def _span_of_units(n, idxs):
+    return gf.Subspace.from_vectors(np.eye(n, dtype=np.int64)[list(idxs)], n, 3)
+
+
+@pytest.mark.parametrize(
+    "sp,U,V",
+    [
+        # two triangles joined by an edge: lambda = 1 < delta = 2
+        (
+            space_from_graph(
+                Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]), 3
+            ),
+            (0, 1, 2),
+            (3, 4, 5),
+        ),
+        (kappa_gt_lambda_instance(2, 2, 3), (0, 1), (2, 3)),
+    ],
+    ids=["bridge-n6", "s2t2"],
+)
+def test_lambda_witness_pinned(sp, U, V):
+    res = lambda_space(sp)
+    assert (res.U, res.V) == (_span_of_units(sp.n, U), _span_of_units(sp.n, V))
+    assert cut_dim(sp, res.U, res.V) == res.value
 
 
 @pytest.mark.parametrize(
@@ -356,6 +425,66 @@ def test_guards():
         lambda_space(sp)
     # force lifts
     assert kappa_space(sp, force=True)[0] >= 0
+
+
+def test_no_guard_keywords_in_library():
+    # every budget is a gf constant; force=True is the only way past one
+    found = []
+    for path in sorted(Path(blt.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                found += [f"{path.name}:{node.name}({p.arg})" for p in params if p.arg.startswith("guard_")]
+    assert not found
+
+
+@pytest.mark.parametrize(
+    "solver,arg,module",
+    [
+        # path graphs: n = budget + 1 vertices, or m = budget + 1 edges
+        (kappa_space_bruteforce, space_from_graph(path_graph(gf.BRUTEFORCE_GUARD_N + 1), 3), altspace),
+        (lambda_space_oracle, space_from_graph(path_graph(gf.ORACLE_GUARD_M + 2), 3), altspace),
+        (bilinear.kappa_map, map_from_space(space_from_graph(path_graph(gf.GUARD_N + 1), 3)), bilinear),
+        (
+            bilinear.lambda_map,
+            map_from_space(space_from_graph(path_graph(gf.LAMBDA_MAP_GUARD_M + 2), 3)),
+            bilinear,
+        ),
+    ],
+    ids=["kappa_space_bruteforce", "lambda_space_oracle", "kappa_map", "lambda_map"],
+)
+def test_guard_refuses_one_past_budget(monkeypatch, solver, arg, module):
+    def started(*args, **kwargs):
+        raise AssertionError("the search ran past the guard")
+
+    monkeypatch.setattr(module, "subspace_matrices", started)
+    with pytest.raises(GuardExceeded, match="--force"):
+        solver(arg)
+
+
+@pytest.mark.parametrize(
+    "reader,payload",
+    [
+        (space_from_json, {"q": 3, "n": 2, "matrices": [[[0, 1], [2, 0]]]}),
+        (map_from_json, {"q": 3, "n": 2, "codomain_dim": 1, "matrices": [[[0, 1], [2, 0]]]}),
+        (group_from_json, {"p": 3, "n": 2, "m": 1, "phi": [[[0, 1], [2, 0]]]}),
+    ],
+    ids=["space", "map", "group"],
+)
+def test_json_readers_reject_bad_types(reader, payload):
+    reader(json.dumps(payload))  # the well-formed payload loads
+    stack = next(k for k, v in payload.items() if isinstance(v, list))
+    bad = [{k: str(v) if k == key else v for k, v in payload.items()} for key in payload if key != stack]
+    bad += [{**payload, "n": 2.0}, {**payload, "n": True}, {**payload, "n": 0}, {**payload, stack: "none"}]
+    for entry in ("1", 1.0, None, [1], True):
+        bad.append({**payload, stack: [[[0, entry], [2, 0]]]})
+    bad += [{**payload, stack: [[[0, 1], [2]]]}, {**payload, stack: [[[0, 3], [2, 0]]]}]
+    for b in bad:
+        with pytest.raises(ValueError):
+            reader(json.dumps(b))
+    with pytest.raises(ValueError, match="must be an object"):
+        reader("[1, 2]")
 
 
 # property tests

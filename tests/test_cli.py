@@ -177,6 +177,21 @@ def test_group_guard(tmp_path, capsys):
     assert "force" in err
 
 
+@pytest.mark.parametrize(
+    "cmd,payload",
+    [
+        (("group", "kappa"), {"p": "3", "n": 2, "m": 1, "phi": [[[0, 1], [2, 0]]]}),
+        (("group", "kappa"), {"p": 3, "n": "2", "m": 0, "phi": []}),
+        (("space", "kappa"), {"q": 3, "n": 2, "matrices": [[[0, "1"], [2, 0]]]}),
+    ],
+    ids=["group-p-str", "group-n-str", "space-entry-str"],
+)
+def test_json_payload_with_bad_types_exits_2(tmp_path, capsys, cmd, payload):
+    code, _, err = run(capsys, *cmd, put(tmp_path, "bad.json", json.dumps(payload)))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 # -- verify ------------------------------------------------------------------
 
 

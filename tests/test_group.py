@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blt import gf
+from blt import gf, group
 from blt.altspace import GuardExceeded, space_from_graph
 from blt.bilinear import map_from_space
 from blt.graphs import (
@@ -257,6 +257,18 @@ def test_delta_guard():
     P = group_from_graph(Graph(7, frozenset({(0, 1)})), 3)
     with pytest.raises(GuardExceeded):
         delta_group(P)
+
+
+def test_decomposability_guard_refuses_one_past_budget(monkeypatch):
+    P = group_from_graph(path_graph(4), 3)  # n + m = 7
+    assert P.n + P.m == gf.GROUP_GUARD_EXP + 1
+
+    def started(*args, **kwargs):
+        raise AssertionError("the pair search ran past the guard")
+
+    monkeypatch.setattr(group, "_pair_decomposable", started)
+    with pytest.raises(GuardExceeded, match="--force"):
+        is_centrally_decomposable(P)
 
 
 def test_commutator_map_roundtrip():

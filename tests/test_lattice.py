@@ -7,8 +7,9 @@ the structured solvers in test_group.py is meaningful cross-validation.
 import numpy as np
 import pytest
 
+from blt import gf, lattice
 from blt.altspace import GuardExceeded
-from blt.graphs import Graph, complete_graph, disjoint_union
+from blt.graphs import Graph, complete_graph, disjoint_union, path_graph
 from blt.group import group_from_graph, kappa_group, lambda_group
 from blt.lattice import (
     SmallGroup,
@@ -185,7 +186,22 @@ def test_central_subgroup_subspaces(P81):
 def test_order_guard():
     P = group_from_graph(disjoint_union(complete_graph(2), complete_graph(2)), 3)
     with pytest.raises(GuardExceeded):
-        small_group(P)  # 729 > default table guard would pass, lattice guard hit by callers
-        # (direct table build guard is DEFAULT_TABLE_ORDER = 3^5)
+        small_group(P)  # 729 > gf.TABLE_GUARD_ORDER = 3^5
     with pytest.raises(GuardExceeded):
         literal_kappa(P)
+
+
+def test_lattice_guards_refuse_one_past_budget(monkeypatch):
+    P = group_from_graph(path_graph(3), 3)
+    assert P.order == 3 * gf.LATTICE_GUARD_ORDER <= gf.TABLE_GUARD_ORDER
+    sg = small_group(P)
+
+    def started(*args, **kwargs):
+        raise AssertionError("ran past the lattice guard")
+
+    monkeypatch.setattr(lattice, "closure", started)
+    with pytest.raises(GuardExceeded, match="--force"):
+        all_subgroups(sg)
+    monkeypatch.setattr(lattice, "small_group", started)  # refused before the Cayley table
+    with pytest.raises(GuardExceeded, match="--force"):
+        literal_lambda(P)
