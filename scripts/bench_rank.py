@@ -4,7 +4,11 @@
 Each row is one (B, r, c) stack of seeded uniform residues mod q, ranked
 --repeats times; the row reports the median wall time.  The first shape is
 the level-3 keep-mask stack of K6 (33880 subspaces, 15 x 18, cap 11); the
-others are the per-layer shapes of the roadmap.  The JSON also holds the
+next five are the per-layer shapes of the roadmap.  The last two are the
+self-adjoint constraint stacks of the literal oracles
+(altspace.first_decomposable) for a whole level at w = 4: the 1210 quotients
+by 2-dim X of a 5-dim codomain at q = 3 (3 generators x 10 rows, 16
+unknowns) and the 806 of a 4-dim codomain at q = 5.  The JSON also holds the
 core count and the Python and numpy versions, since timings only compare on
 one machine.
 
@@ -30,6 +34,8 @@ SHAPES = (
     (2000, 8, 8, 251, None),
     (20000, 6, 15, 3, None),
     (5000, 12, 12, 3, None),
+    (1210, 30, 16, 3, None),
+    (806, 20, 16, 5, None),
 )
 
 

@@ -30,6 +30,12 @@ convention: one-dimensional restrictions are zero spaces and zero spaces
 decompose.  A literal restriction-enumeration solver is kept alongside as a
 cross-check oracle.
 
+The literal oracles here (kappa_space_bruteforce, lambda_space_oracle) and
+in bilinear (kappa_map, lambda_map) share one candidate loop,
+first_decomposable: one batched rank per chunk gives each candidate's
+self-adjoint algebra, dimension 1 proves it indecomposable, and every
+other candidate gets the oracle's own literal test, in canonical order.
+
 Level scans and line degrees are computed once per space object and shared
 by kappa, lambda, delta and decomposability.
 """
@@ -38,9 +44,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +56,8 @@ from .gf import Subspace, check_guard, field, rank_batched, subspace_matrices
 from .graphs import Graph
 
 _CHUNK = 4096
+_ADJOINT_CHUNK = 2**15  # int64 entries in one chunk of first_decomposable's constraint rows
+_FULLCONN_CELLS = 2**20  # pair cells in one row block of is_fully_connected
 
 
 def is_alternating(mat: np.ndarray, q: int) -> bool:
@@ -308,6 +316,76 @@ def validate_orth_witness(space: AltMatrixSpace, w: OrthWitness) -> bool:
     return not cuts.any()
 
 
+@lru_cache(maxsize=None)
+def _adjoint_operator(w: int) -> np.ndarray:
+    """(w^2, T w^2) operator, T = w(w+1)/2: vec(A) @ op holds the rows of X^t A - A X.
+
+    Row (i, j), i <= j, of X^t A - A X gives the unknown X[k, l] (column
+    k w + l) the coefficient A[k, j] [l == i] - A[i, k] [l == j].  For
+    alternating A the matrix X^t A - A X is symmetric, so the rows i > j
+    repeat these and are left out.
+    """
+    iu, ju = np.triu_indices(w)
+    t = np.arange(len(iu))
+    op = np.zeros((w, w, len(iu), w, w), dtype=np.int64)  # A[a, b], row t, X[k, l]
+    for k in range(w):
+        op[k, ju, t, k, iu] += 1
+        op[iu, k, t, k, ju] -= 1
+    op = op.reshape(w * w, -1)
+    op.setflags(write=False)
+    return op
+
+
+def first_decomposable(
+    count: int,
+    d: int,
+    w: int,
+    q: int,
+    build: Callable[[int, int], np.ndarray],
+    exact: Callable[[int], bool],
+) -> Optional[int]:
+    """First i in range(count) with exact(i), or None; the literal oracles' loop.
+
+    Candidate i is the span of d alternating w x w generators, and
+    build(lo, hi) returns those of candidates lo..hi-1 as a (hi - lo, d, w, w)
+    stack.  Candidates are walked in order, one chunk at a time.  For each
+    chunk one rank_batched call gives the dimension of the self-adjoint
+    algebra S = {X : X^t A = A X for every generator A} of every candidate
+    (J. B. Wilson, "Decomposing p-groups via Jordan algebras", J. Algebra
+    322, 2009).  A candidate with w >= 2 and dim S = 1 is skipped; every
+    other one goes to exact(i), in order, and the first hit is returned
+    without building a later chunk.
+
+    Why skipping is sound:
+    - S always holds the scalars, so dim S >= 1.
+    - A split U + V gives an idempotent in S, the projection E onto U along
+      V: in a basis adapted to the split A = diag(A_U, A_V) and
+      E = diag(I, 0), so E^t A = A E, and congruence keeps that relation.
+      E is not a scalar, so a decomposable space has dim S >= 2.
+    - At w = 1 the zero space decomposes by convention though dim S = 1, so
+      w = 1 is never filtered.  S depends only on the span of the
+      generators, so dependent generators do not matter.
+
+    Each chunk holds at most _ADJOINT_CHUNK int64 constraint entries: d T
+    rows in w^2 unknowns per candidate, T = w(w+1)/2, from one matmul with
+    the cached _adjoint_operator(w).
+    """
+    t_rows = d * w * (w + 1) // 2
+    if w < 2 or t_rows < w * w - 1:
+        # fewer than w^2 - 1 rows leave dim S >= 2: no candidate can be skipped
+        return next((i for i in range(count) if exact(i)), None)
+    op = _adjoint_operator(w)
+    step = max(1, _ADJOINT_CHUNK // (t_rows * w * w))
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        gens = build(lo, hi).reshape((hi - lo) * d, w * w)
+        rows = (gens @ op).reshape(hi - lo, t_rows, w * w)
+        for i in lo + np.flatnonzero(rank_batched(rows, q) < w * w - 1):
+            if exact(int(i)):
+                return int(i)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # kappa
 
@@ -339,14 +417,22 @@ def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Sub
 
 
 def kappa_space_bruteforce(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Subspace]:
-    """Literal search: c ascending, restrictions in canonical order."""
-    n, q = space.n, space.q
+    """Literal search: c ascending, restrictions in canonical order.
+
+    first_decomposable skips the restrictions that its self-adjoint filter
+    proves indecomposable; every other one is tested literally, in order.
+    """
+    n, q, A = space.n, space.q, space.tensor
     check_guard("n", n, gf.BRUTEFORCE_GUARD_N, force)
     for c in range(n):
-        for w_rows in subspace_matrices(n, n - c, q):
-            W = Subspace.from_vectors(np.array(w_rows), n, q)
-            if is_orth_decomposable(restrict(space, W))[0]:
-                return c, W
+        Ws = subspace_matrices(n, n - c, q)
+        i = first_decomposable(
+            len(Ws), space.dim, n - c, q,
+            lambda lo, hi: np.einsum("ubi,kij,ucj->ukbc", Ws[lo:hi], A, Ws[lo:hi]),
+            lambda i: is_orth_decomposable(restrict(space, Subspace.from_vectors(Ws[i], n, q)))[0],
+        )
+        if i is not None:
+            return c, Subspace.from_vectors(Ws[i], n, q)
     raise AssertionError("dim-1 restrictions are zero spaces and must decompose")
 
 
@@ -378,8 +464,14 @@ def degree_vector(space: AltMatrixSpace, v) -> int:
     return gf.rank_gf(M, space.q)
 
 
-def delta_space(space: AltMatrixSpace) -> Tuple[int, np.ndarray]:
+def _check_lines_guard(space: AltMatrixSpace, force: bool):
+    lines = (space.q**space.n - 1) // (space.q - 1)
+    check_guard("lines", lines, gf.LINES_GUARD, force)
+
+
+def delta_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, np.ndarray]:
     """(delta, v): minimum degree over nonzero vectors, first line rep attaining."""
+    _check_lines_guard(space, force)
     degs = _line_degrees(space)
     idx = int(degs.argmin())
     return int(degs[idx]), np.array(gf.projective_lines(space.n, space.q)[idx])
@@ -465,7 +557,7 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
         if w is None:
             raise AssertionError("a decomposable space of dimension >= 2 has a split")
         return LambdaResult(0, w.U, w.V, space)
-    best, v = delta_space(space)  # the dim-1 pass
+    best, v = delta_space(space, force=force)  # the dim-1 pass
     u_rows = v[None, :]
     v_rows = gf.complement_matrices(u_rows, q)[0]
     if best > 1:
@@ -504,19 +596,31 @@ def lambda_space_oracle(space: AltMatrixSpace, *, force: bool = False):
     """Literal definition of lambda: smallest codimension of a decomposable
     subspace of the space itself.  Enumerates coefficient subspaces of F^m.
 
+    first_decomposable skips the subspaces that its self-adjoint filter
+    proves indecomposable; every other one is tested literally, in order.
+
     Returns (value, vanishing_subspace, witness)."""
     n, q, m = space.n, space.q, space.dim
     if n < 2:
         raise ValueError("lambda needs ambient dimension >= 2")
     check_guard("m", m, gf.ORACLE_GUARD_M, force)
-    flat = space.tensor.reshape(m, n * n) if m else np.zeros((0, n * n), dtype=np.int64)
+    flat = space.tensor.reshape(m, n * n)
     for c in range(m + 1):
-        for coeffs in subspace_matrices(m, m - c, q) if m else [np.zeros((0, 0))]:
-            mats = (np.array(coeffs, dtype=np.int64) @ flat).reshape(m - c, n, n) % q
-            sub = AltMatrixSpace.from_matrices(mats, n, q)
+        Cs = subspace_matrices(m, m - c, q)
+        hit = None
+
+        def exact(i: int) -> bool:
+            nonlocal hit
+            sub = AltMatrixSpace.from_matrices((Cs[i] @ flat).reshape(m - c, n, n) % q, n, q)
             dec, w = is_orth_decomposable(sub)
-            if dec:
-                return c, sub, w
+            hit = sub, w
+            return dec
+
+        i = first_decomposable(
+            len(Cs), m - c, n, q, lambda lo, hi: (Cs[lo:hi] @ flat).reshape(hi - lo, m - c, n, n), exact
+        )
+        if i is not None:
+            return (c, *hit)
     raise AssertionError("the zero subspace always decomposes")
 
 
@@ -524,24 +628,32 @@ def lambda_space_oracle(space: AltMatrixSpace, *, force: bool = False):
 # Full connectivity and the kappa > lambda construction
 
 
-def is_fully_connected(space: AltMatrixSpace):
+def is_fully_connected(space: AltMatrixSpace, *, force: bool = False):
     """(flag, None or a failing pair (u, v)): are all pairs of independent
-    vectors connected by some matrix of the space?"""
+    vectors connected by some matrix of the space?
+
+    The line pairs are checked in row blocks of about _FULLCONN_CELLS cells,
+    and the first block with a miss ends the search; the pair returned is
+    the first miss in row-major line order."""
     n, q = space.n, space.q
     if n == 1:
         return True, None
+    _check_lines_guard(space, force)
     lines = gf.projective_lines(n, q)
     if space.dim == 0:
         return False, (np.array(lines[0]), np.array(lines[1]))
-    hit = np.zeros((len(lines), len(lines)), dtype=bool)
-    for A in space.tensor:
-        vals = (lines @ A @ lines.T) % q
-        hit |= vals != 0
-    np.fill_diagonal(hit, True)
-    if hit.all():
-        return True, None
-    i, j = np.argwhere(~hit)[0]
-    return False, (np.array(lines[i]), np.array(lines[j]))
+    L = len(lines)
+    step = max(1, _FULLCONN_CELLS // L)
+    for lo in range(0, L, step):
+        block = lines[lo : lo + step]
+        hit = np.zeros((len(block), L), dtype=bool)
+        for A in space.tensor:
+            hit |= (block @ A @ lines.T) % q != 0
+        hit[np.arange(len(block)), lo + np.arange(len(block))] = True
+        if not hit.all():
+            i, j = np.argwhere(~hit)[0]
+            return False, (np.array(lines[lo + i]), np.array(lines[j]))
+    return True, None
 
 
 def is_fully_connected_rect(space: GeneralMatrixSpace):

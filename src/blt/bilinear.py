@@ -14,6 +14,15 @@ is orthogonally decomposable iff the span of its tuple is, so the space
 module's decomposability test is reused as the inner oracle; the searches
 above it are independent of the space-level solvers, which is what makes
 agreement between the two routes a meaningful check.
+
+Both searches walk their candidates (levels ascending, canonical order
+within a level, first hit returned) through altspace.first_decomposable.
+It ranks one chunk of candidates at a time to find the dimension of each
+one's self-adjoint algebra {X : X^t A = A X}; dimension 1 proves the
+candidate indecomposable, so it is skipped.  Every other candidate gets the
+literal test above (restrict_map or quotient_map, then
+is_orth_decomposable), in order, so value and witness are those of the
+plain one-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import numpy as np
 from . import gf
 from .altspace import (
     AltMatrixSpace,
+    first_decomposable,
     is_alternating,
     is_orth_decomposable,
     matrices_from_json,
@@ -141,37 +151,54 @@ def is_map_decomposable(phi: AltBilinearMap):
 def kappa_map(phi: AltBilinearMap, *, force: bool = False) -> Tuple[int, Subspace]:
     """Smallest c such that phi restricted to some (n-c)-dim U decomposes.
 
-    Literal search: c ascending, U in canonical order.  Restrictions to lines
-    are zero maps and decompose by the degenerate convention, so c = n - 1
-    always terminates the search.
+    Literal search: c ascending, U in canonical order, first hit returned.
+    first_decomposable skips each U whose restriction U A_k U^t has a
+    one-dimensional self-adjoint algebra (proven indecomposable) and sends
+    every other U, in order, to the literal test on restrict_map(phi, U).
+    Restrictions to lines are zero maps and decompose by the degenerate
+    convention, so c = n - 1 always terminates the search.
     """
-    n, q = phi.n, phi.q
+    n, q, A = phi.n, phi.q, phi.tensor
     check_guard("n", n, gf.GUARD_N, force)
     for c in range(n):
-        for u_rows in subspace_matrices(n, n - c, q):
-            U = Subspace.from_vectors(np.array(u_rows), n, q)
-            if is_map_decomposable(restrict_map(phi, U))[0]:
-                return c, U
+        Us = subspace_matrices(n, n - c, q)
+        i = first_decomposable(
+            len(Us), phi.m, n - c, q,
+            lambda lo, hi: np.einsum("ubi,kij,ucj->ukbc", Us[lo:hi], A, Us[lo:hi]),
+            lambda i: is_map_decomposable(restrict_map(phi, Subspace.from_vectors(Us[i], n, q)))[0],
+        )
+        if i is not None:
+            return c, Subspace.from_vectors(Us[i], n, q)
     raise AssertionError("restriction to a line is a zero map and must decompose")
 
 
 def lambda_map(phi: AltBilinearMap, *, force: bool = False) -> Tuple[int, Subspace]:
     """Smallest c such that phi quotiented by some c-dim X decomposes.
 
-    Quotienting by the full codomain gives the zero map, so c = m terminates.
+    Literal search: c ascending, X in canonical order, first hit returned.
+    The quotient by X spans {sum_k y_k A_k : y in ann(X)}, and
+    first_decomposable skips each X whose span there has a one-dimensional
+    self-adjoint algebra (proven indecomposable); every other X, in order,
+    gets the literal test on quotient_map(phi, X).  Quotienting by the full
+    codomain gives the zero map, so c = m terminates.
     """
-    m, q = phi.m, phi.q
+    n, m, q = phi.n, phi.m, phi.q
     check_guard("m", m, gf.LAMBDA_MAP_GUARD_M, force)
     if m == 0:
         ok, _ = is_map_decomposable(phi)
         if not ok:
             raise AssertionError("a zero map must decompose")
         return 0, Subspace.zero(1, q)  # placeholder ambient F_q^1 for the empty codomain
+    flat = phi.tensor.reshape(m, n * n)
     for c in range(m + 1):
-        for x_rows in subspace_matrices(m, c, q):
-            X = Subspace.from_vectors(np.array(x_rows), m, q)
-            if is_map_decomposable(quotient_map(phi, X))[0]:
-                return c, X
+        Xs = subspace_matrices(m, c, q)
+        i = first_decomposable(
+            len(Xs), m - c, n, q,
+            lambda lo, hi: (gf.annihilator_matrices(Xs[lo:hi], q) @ flat).reshape(hi - lo, m - c, n, n),
+            lambda i: is_map_decomposable(quotient_map(phi, Subspace.from_vectors(Xs[i], m, q)))[0],
+        )
+        if i is not None:
+            return c, Subspace.from_vectors(Xs[i], m, q)
     raise AssertionError("quotient by the full codomain is a zero map")
 
 

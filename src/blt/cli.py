@@ -152,10 +152,10 @@ def cmd_space(args) -> int:
             "vanishing_dim": res.vanishing.dim,
         }
     elif args.subcmd == "delta":
-        value, v = delta_space(sp)
+        value, v = delta_space(sp, force=args.force)
         payload = {"delta": value, "vector": _vec(v)}
     elif args.subcmd == "fullconn":
-        flag, pair = is_fully_connected(sp)
+        flag, pair = is_fully_connected(sp, force=args.force)
         payload = {"fully_connected": flag}
         if pair is not None:
             payload["disconnected_pair"] = [_vec(pair[0]), _vec(pair[1])]
@@ -269,7 +269,7 @@ def _verify_counterexample(args) -> int:
     """Check the fully-connected instance with kappa > lambda, then its group."""
     s, t, q = args.s, args.t, args.q
     sp = kappa_gt_lambda_instance(s, t, q)
-    full, _ = is_fully_connected(sp)
+    full, _ = is_fully_connected(sp, force=True)
     kappa, _ = kappa_space(sp, force=True)
     lam = lambda_space(sp, force=True)
     payload = {

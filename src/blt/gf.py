@@ -46,6 +46,7 @@ GROUP_GUARD_EXP = 6
 TABLE_GUARD_ORDER = 3**5  # group order: lattice.small_group builds a Cayley table
 LATTICE_GUARD_ORDER = 3**4  # group order: all_subgroups, literal_kappa, literal_lambda
 SWEEP_MAP_GUARD_M = 4  # m: the sweep's map columns
+LINES_GUARD = 3**8  # lines (q^n - 1)/(q - 1): delta_space, is_fully_connected
 MAX_N_CAP = 6  # n: the largest graphs the sweep enumerates
 
 
@@ -398,6 +399,28 @@ def complement_matrices(u_basis: np.ndarray, q: int) -> np.ndarray:
     powers = q ** np.arange(k * c - 1, -1, -1, dtype=np.int64)
     digits = ((vals[:, None] // powers) % q).reshape(count, c, k)
     out = (base[None, :, :] + digits @ u_basis) % q
+    return out
+
+
+def annihilator_matrices(x_stack: np.ndarray, q: int) -> np.ndarray:
+    """Bases of {y : X y = 0} for a (N, c, m) stack of RREF bases X, as (N, m - c, m).
+
+    Closed form: for each non-pivot column j, in ascending order, the row
+    e_j - sum_i X[i, j] e_{p_i}, where p_i is the pivot of row i of X.  It
+    is killed by X because X[i, p_i'] = [i == i'], and the rows are
+    independent because each has its own non-pivot coordinate.
+    """
+    N, c, m = x_stack.shape
+    piv = (x_stack != 0).argmax(axis=2)  # (N, c): the first nonzero of each row
+    free = np.ones((N, m), dtype=bool)
+    np.put_along_axis(free, piv, False, axis=1)
+    nonpiv = np.nonzero(free)[1].reshape(N, m - c)
+    out = np.zeros((N, m - c, m), dtype=np.int64)
+    b = np.arange(N)[:, None]
+    t = np.arange(m - c)[None, :]
+    out[b, t, nonpiv] = 1
+    coeffs = np.take_along_axis(x_stack, nonpiv[:, None, :], axis=2)  # X[i, j_t], (N, c, m - c)
+    out[b[:, :, None], t[:, None, :], piv[:, :, None]] = -coeffs % q
     return out
 
 

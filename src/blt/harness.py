@@ -122,7 +122,7 @@ def compute_row(n: int, mask: int, cfg: VerifyConfig) -> Tuple[dict, Dict[str, f
         sp = space_from_graph(g, cfg.q)
         row["kappa_A"] = kappa_space(sp, force=cfg.force)[0]
         row["lambda_A"] = lambda_space(sp, force=cfg.force).value
-        row["delta_A"] = delta_space(sp)[0]
+        row["delta_A"] = delta_space(sp, force=cfg.force)[0]
         timings["space"] = time.perf_counter() - t0
 
     if cfg.depth >= 2 and (m <= SWEEP_MAP_GUARD_M or cfg.force):

@@ -48,6 +48,7 @@ from blt.graphs import (
     graph_from_mask,
     path_graph,
     star_graph,
+    vertex_connectivity,
 )
 
 
@@ -485,6 +486,176 @@ def test_json_readers_reject_bad_types(reader, payload):
             reader(json.dumps(b))
     with pytest.raises(ValueError, match="must be an object"):
         reader("[1, 2]")
+
+
+# batched literal oracles: the self-adjoint filter of first_decomposable
+
+
+def _passes_filter(space):
+    """True when first_decomposable sends the space to its exact test."""
+    build = lambda lo, hi: space.tensor[None]  # noqa: E731
+    return altspace.first_decomposable(1, space.dim, space.n, space.q, build, lambda i: True) == 0
+
+
+def test_adjoint_operator_gives_the_rows_of_xt_a_minus_a_x():
+    rng = np.random.default_rng(41)
+    for w in (1, 2, 3, 4, 5):
+        op = altspace._adjoint_operator(w)
+        iu, ju = np.triu_indices(w)
+        assert op.shape == (w * w, len(iu) * w * w) and not op.flags.writeable
+        for _ in range(5):
+            upper = np.triu(rng.integers(-4, 5, size=(w, w)), k=1)
+            A = upper - upper.T
+            X = rng.integers(-4, 5, size=(w, w))
+            rows = (A.reshape(-1) @ op).reshape(len(iu), w * w)
+            want = X.T @ A - A @ X
+            assert (want == want.T).all()
+            assert (rows @ X.reshape(-1) == want[iu, ju]).all()
+
+
+def test_no_decomposable_space_has_adjoint_rank_w2_minus_1():
+    # dim S = 1 must prove indecomposability.  On graph spaces it also holds
+    # for every indecomposable one, so the filter does skip; there the graph
+    # decides (disconnected iff decomposable, criterion 1 checks it)
+    graphs_n5 = [g for n in range(2, 6) for g in all_labeled_graphs(n)]
+    rng = np.random.default_rng(43)
+    random_spaces = []
+    for k in range(200):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(0, n * (n - 1) // 2 + 1))
+        random_spaces.append(random_alt_space(n, m, (3, 5)[k % 2], rng))
+    for g in graphs_n5:
+        assert _passes_filter(space_from_graph(g, 3)) == (vertex_connectivity(g)[0] == 0), g
+    for sp in random_spaces:
+        assert _passes_filter(sp) or not is_orth_decomposable(sp)[0], sp
+    assert len(graphs_n5) == 1094
+
+
+def _kappa_space_bruteforce_reference(space):
+    n, q = space.n, space.q
+    for c in range(n):
+        for w_rows in gf.subspace_matrices(n, n - c, q):
+            W = gf.Subspace.from_vectors(np.array(w_rows), n, q)
+            if is_orth_decomposable(restrict(space, W))[0]:
+                return c, W
+    raise AssertionError("unreachable")
+
+
+def _lambda_space_oracle_reference(space):
+    n, q, m = space.n, space.q, space.dim
+    flat = space.tensor.reshape(m, n * n)
+    for c in range(m + 1):
+        for coeffs in gf.subspace_matrices(m, m - c, q):
+            sub = AltMatrixSpace.from_matrices((coeffs @ flat).reshape(m - c, n, n) % q, n, q)
+            dec, w = is_orth_decomposable(sub)
+            if dec:
+                return c, sub, w
+    raise AssertionError("unreachable")
+
+
+def _oracle_spaces():
+    # the graphs on at most 4 vertices with at most 4 edges: the literal lambda
+    # oracle takes about a second on K4 - e and a minute on K4
+    out = [space_from_graph(g, 3) for n in (2, 3, 4) for g in all_labeled_graphs(n) if g.m <= 4]
+    out.append(AltMatrixSpace.zero(3, 3))
+    rng = np.random.default_rng(47)
+    for k in range(30):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(0, min(4, n * (n - 1) // 2) + 1))
+        q = (3, 5)[k % 2] if n < 5 else 3  # the literal kappa oracle takes ~20 s on F_5^5
+        out.append(random_alt_space(n, m, q, rng))
+    return out
+
+
+def _space_oracle_answers(sp):
+    return kappa_space_bruteforce(sp), lambda_space_oracle(sp)
+
+
+def test_batched_space_oracles_keep_value_and_witness():
+    for sp in _oracle_spaces():
+        assert kappa_space_bruteforce(sp) == _kappa_space_bruteforce_reference(sp), sp
+        assert lambda_space_oracle(sp) == _lambda_space_oracle_reference(sp), sp
+
+
+@pytest.mark.parametrize("chunk", [1, 2000])
+def test_space_oracles_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    # 2000 entries hold 2 to 33 candidates on these levels, fewer than a level
+    spaces = [space_from_graph(g, 3) for g in (graph_from_mask(4, 0b011111), cycle_graph(4), cycle_graph(5))]
+    want = [_space_oracle_answers(sp) for sp in spaces]
+    monkeypatch.setattr(altspace, "_ADJOINT_CHUNK", chunk)
+    assert [_space_oracle_answers(sp) for sp in spaces] == want
+
+
+# the guard on the number of lines: delta_space and is_fully_connected
+
+LINES_PAST_GUARD = space_from_graph(path_graph(9), 3)  # (3^9 - 1)/2 = 9841 lines
+
+
+def test_lines_guard_refuses_one_past_budget(monkeypatch):
+    assert (3**8 - 1) // 2 <= gf.LINES_GUARD < (3**9 - 1) // 2
+
+    def started(*args, **kwargs):
+        raise AssertionError("the search ran past the guard")
+
+    monkeypatch.setattr(gf, "projective_lines", started)
+    monkeypatch.setattr(altspace, "_line_degrees", started)
+    monkeypatch.setattr(altspace, "_dim_scan", started)
+    for solver in (delta_space, is_fully_connected):
+        with pytest.raises(GuardExceeded, match="--force"):
+            solver(LINES_PAST_GUARD)
+    with pytest.raises(GuardExceeded, match="lines=9841"):
+        delta_space(LINES_PAST_GUARD)
+
+
+def test_lines_guard_lifts_with_force():
+    assert delta_space(LINES_PAST_GUARD, force=True)[0] == 1
+    # n = 3 passes lambda_space's own guard, but F_83^3 has 83^2 + 83 + 1 = 6973 lines
+    p3 = space_from_graph(path_graph(3), 83)
+    with pytest.raises(GuardExceeded, match="lines=6973"):
+        lambda_space(p3)
+    assert lambda_space(p3, force=True).value == 1
+    flag, (u, v) = is_fully_connected(LINES_PAST_GUARD, force=True)
+    assert not flag and not ((u @ LINES_PAST_GUARD.tensor @ v) % 3).any()
+
+
+def _fully_connected_reference(space):
+    n, q = space.n, space.q
+    if n == 1:
+        return True, None
+    lines = gf.projective_lines(n, q)
+    if space.dim == 0:
+        return False, (np.array(lines[0]), np.array(lines[1]))
+    hit = np.zeros((len(lines), len(lines)), dtype=bool)
+    for A in space.tensor:
+        hit |= (lines @ A @ lines.T) % q != 0
+    np.fill_diagonal(hit, True)
+    if hit.all():
+        return True, None
+    i, j = np.argwhere(~hit)[0]
+    return False, (np.array(lines[i]), np.array(lines[j]))
+
+
+@pytest.mark.parametrize("cells", [None, 1, 1000])
+def test_streamed_full_connectivity_returns_the_first_pair(monkeypatch, cells):
+    if cells is not None:
+        monkeypatch.setattr(altspace, "_FULLCONN_CELLS", cells)
+    rng = np.random.default_rng(53)
+    spaces = [
+        space_from_graph(complete_graph(4), 3),
+        space_from_graph(path_graph(4), 3),
+        space_from_graph(cycle_graph(5), 3),
+        kappa_gt_lambda_instance(2, 2, 3),
+        kappa_gt_lambda_instance(2, 3, 3),
+        AltMatrixSpace.zero(3, 3),
+        AltMatrixSpace.zero(1, 3),
+    ] + [random_alt_space(4, int(rng.integers(1, 7)), 3, rng) for _ in range(10)]
+    for sp in spaces:
+        got, want = is_fully_connected(sp), _fully_connected_reference(sp)
+        assert got[0] == want[0]
+        if want[1] is None:
+            assert got[1] is None
+        else:
+            assert [p.tolist() for p in got[1]] == [p.tolist() for p in want[1]]
 
 
 # property tests

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blt import gf
+from blt import altspace, bilinear, gf
 from blt.altspace import (
     lambda_space,
     kappa_space,
@@ -22,7 +22,7 @@ from blt.bilinear import (
     quotient_map,
     restrict_map,
 )
-from blt.graphs import complete_graph, cycle_graph, disjoint_union, path_graph
+from blt.graphs import all_labeled_graphs, complete_graph, cycle_graph, disjoint_union, path_graph
 
 
 def k2_map(q=3):
@@ -170,3 +170,101 @@ def test_json_roundtrip():
 def test_json_rejects_bad_payload():
     with pytest.raises(ValueError, match="missing key"):
         map_from_json('{"q": 3, "n": 2, "matrices": []}')
+
+
+# batched literal searches: the self-adjoint filter in front of the literal tests
+
+
+@pytest.mark.parametrize("m,q", [(m, 3) for m in range(1, 5)] + [(m, 5) for m in range(1, 4)])
+def test_closed_form_annihilators_span_the_nullspace(m, q):
+    for c in range(m + 1):
+        xs = gf.subspace_matrices(m, c, q)
+        ann = gf.annihilator_matrices(xs, q)
+        assert ann.shape == (len(xs), m - c, m)
+        assert ((ann >= 0) & (ann < q)).all()
+        for X, Y in zip(xs, ann):
+            assert not ((X @ Y.T) % q).any()
+            want = gf.Subspace.from_vectors(gf.nullspace(X, q), m, q)
+            assert gf.Subspace.from_vectors(Y, m, q) == want and want.dim == m - c
+
+
+def _kappa_map_reference(phi):
+    """The literal one-at-a-time kappa search, no filter."""
+    n, q = phi.n, phi.q
+    for c in range(n):
+        for u_rows in gf.subspace_matrices(n, n - c, q):
+            U = gf.Subspace.from_vectors(np.array(u_rows), n, q)
+            if is_map_decomposable(restrict_map(phi, U))[0]:
+                return c, U
+    raise AssertionError("unreachable")
+
+
+def _lambda_map_reference(phi):
+    """The literal one-at-a-time lambda search, no filter."""
+    m, q = phi.m, phi.q
+    if m == 0:
+        return 0, gf.Subspace.zero(1, q)
+    for c in range(m + 1):
+        for x_rows in gf.subspace_matrices(m, c, q):
+            X = gf.Subspace.from_vectors(np.array(x_rows), m, q)
+            if is_map_decomposable(quotient_map(phi, X))[0]:
+                return c, X
+    raise AssertionError("unreachable")
+
+
+def _random_maps():
+    """Seeded maps with n = 1..4, q in {3, 5}, m = 0..4, a third of them with a
+    dependent tuple."""
+    rng = np.random.default_rng(29)
+    out = []
+    for k in range(36):
+        n, q = 1 + k % 4, (3, 5)[k // 4 % 2]
+        m = int(rng.integers(0, 5))
+        upper = np.triu(rng.integers(0, q, size=(m, n, n)), k=1)
+        mats = (upper - upper.transpose(0, 2, 1)) % q
+        if m >= 2 and k % 3 == 0:
+            mats[-1] = (2 * mats[0] + mats[1]) % q
+        out.append(AltBilinearMap.from_matrices(mats.reshape(m, n, n), n, q))
+    return out
+
+
+GRAPH_MAPS = [
+    map_from_space(space_from_graph(g, 3)) for n in (2, 3, 4) for g in all_labeled_graphs(n) if g.m < 6
+]
+
+
+def test_batched_map_searches_keep_value_and_witness():
+    maps = GRAPH_MAPS + _random_maps()
+    assert {phi.n for phi in maps} == {1, 2, 3, 4} and 0 in {phi.m for phi in maps}
+    assert any(phi.m > 0 and not is_surjective(phi) for phi in maps)
+    for phi in maps:
+        assert kappa_map(phi) == _kappa_map_reference(phi), phi
+        # the literal lambda search takes 1.7 s on each of the six K4 - e; one is kept
+        if phi.m < 5 or phi is GRAPH_MAPS[-1]:
+            assert lambda_map(phi) == _lambda_map_reference(phi), phi
+
+
+@pytest.mark.parametrize("chunk", [1, 2000])
+def test_map_searches_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    # 2000 entries hold 2 to 33 candidates on these levels, fewer than a level
+    maps = [map_from_space(space_from_graph(g, 3)) for g in (cycle_graph(4), path_graph(4))]
+    maps += [GRAPH_MAPS[-1]] + _random_maps()[::5]
+    want = [(kappa_map(phi), lambda_map(phi)) for phi in maps]
+    monkeypatch.setattr(altspace, "_ADJOINT_CHUNK", chunk)
+    assert [(kappa_map(phi), lambda_map(phi)) for phi in maps] == want
+
+
+def test_c4_reaches_one_restriction_and_one_quotient(monkeypatch):
+    # the literal searches without the filter take 123 restrictions and 42 quotients
+    calls = {"restrict_map": 0, "quotient_map": 0}
+    for name in calls:
+        original = getattr(bilinear, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(bilinear, name, counting)
+    phi = map_from_space(space_from_graph(cycle_graph(4), 3))
+    assert kappa_map(phi)[0] == 2 and lambda_map(phi)[0] == 2
+    assert calls == {"restrict_map": 1, "quotient_map": 1}

@@ -135,6 +135,19 @@ def test_space_guard(tmp_path, capsys):
     assert "force" in err
 
 
+@pytest.mark.parametrize("subcmd", ["delta", "fullconn"])
+def test_space_lines_guard(tmp_path, capsys, subcmd):
+    # the path on 9 vertices: (3^9 - 1)/2 = 9841 lines, past gf.LINES_GUARD
+    src = put(tmp_path, "p9.edges", "9 8\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 9)))
+    code, _, err = run(capsys, "space", subcmd, src)
+    assert code == 2
+    assert "lines=9841" in err and "force" in err
+    code, out, _ = run(capsys, "space", subcmd, src, "--force")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload.get("delta", 1) == 1 and payload.get("fully_connected", False) is False
+
+
 # -- group -------------------------------------------------------------------
 
 
