@@ -505,16 +505,18 @@ def _degree_code_table(space: AltMatrixSpace) -> np.ndarray:
     return table
 
 
-def _level_keep_mask(space: AltMatrixSpace, b: int, best: int, deg_table: np.ndarray) -> np.ndarray:
-    """Keep flags for the dim-b subspaces U that could still hold a cut < best.
+def _level_bounds(space: AltMatrixSpace, b: int, best: int, deg_table: np.ndarray) -> np.ndarray:
+    """Lower bounds on the cut dimension of each dim-b subspace U, over every split U + V.
 
     Two lower bounds for the cut dimension across any split U + V:
     - a single row u^t A restricted to V loses at most dim(Vperp n uperp) =
       b - 1 dimensions (u is outside V, so Vperp is not inside uperp), hence
       cut >= deg(u) - (b - 1) for every line u in U;
     - summing the same loss over a basis of U, cut >= dim{B_U A} - b(b-1).
-    Both are independent of the choice of V, so U is skipped outright when
-    either bound reaches best.
+    Both are independent of the choice of V; the bound of U is the larger.
+    The rank in the second is capped at best + b(b-1), which only lowers it,
+    so a capped bound is still a lower bound, and it reaches best exactly
+    when the uncapped one does.
     """
     n, q, m = space.n, space.q, space.dim
     u_stack = subspace_matrices(n, b, q)
@@ -527,7 +529,7 @@ def _level_keep_mask(space: AltMatrixSpace, b: int, best: int, deg_table: np.nda
         flats = np.einsum("ubi,kij->ukbj", u_stack, space.tensor).reshape(len(u_stack), m, b * n)
         r_flat = rank_batched(flats, q, cap=best + b * (b - 1))
         bound = np.maximum(bound, r_flat - b * (b - 1))
-    return bound < best
+    return bound
 
 
 def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
@@ -536,17 +538,23 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     Search: splits with dim U = 1 all share cut dimension deg(u) (the cut
     functionals kill u, so restriction to any complement is faithful), hence
     the dim-1 pass contributes exactly delta.  Larger U are scanned with a
-    sound lower-bound filter and batched rank computation.
+    sound lower-bound filter and batched rank computation: _level_bounds
+    gives each U of a level a lower bound on its cut, computed once per
+    level with the best of the level start as cap, and a U is skipped when
+    its bound reaches the current best, so the filter tightens after every
+    strict drop within the level.  Capped bounds stay lower bounds.
 
     The witness is the first split in canonical order (b ascending, then U in
     subspace_matrices order, then V in complement_matrices order) whose cut
     dimension is lambda, and it is recorded during the one search.  A U that
-    the filter skips has cut >= its bound >= the best at the start of its
-    level, and a U scanned before a drop has minimum cut >= the best of that
-    moment; so the U of the last strict drop is the first U in canonical order
-    whose minimum cut is lambda, and the first argmin over its complements is
-    its first V.  With no drop, lambda = delta, and the first line of degree
-    delta (the delta_space witness) comes before every split with b >= 2.
+    the filter skips has cut >= its bound >= the best of the moment it is
+    passed over (the level start or a later drop), and a U scanned before a
+    drop has minimum cut >= the best of that moment; so every U before the U
+    of the last strict drop has minimum cut > lambda, that U is the first in
+    canonical order whose minimum cut is lambda, and the first argmin over
+    its complements is its first V.  With no drop, lambda = delta, and the
+    first line of degree delta (the delta_space witness) comes before every
+    split with b >= 2.
     """
     n, q = space.n, space.q
     if n < 2:
@@ -563,9 +571,11 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     if best > 1:
         deg_table = _degree_code_table(space)
         for b in range(2, n // 2 + 1):
-            keep = _level_keep_mask(space, b, best, deg_table)
+            bound = _level_bounds(space, b, best, deg_table)
             Us = subspace_matrices(n, b, q)
-            for u_idx in np.flatnonzero(keep):
+            for u_idx in np.flatnonzero(bound < best):
+                if bound[u_idx] >= best:
+                    continue  # best dropped earlier in this level
                 ranks = _cut_ranks_for_u(space, np.array(Us[u_idx]), cap=best)
                 j = int(ranks.argmin())
                 if ranks[j] < best:

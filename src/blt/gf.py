@@ -39,14 +39,16 @@ ORACLE_GUARD_M = 6  # space dimension m: lambda_space_oracle
 LAMBDA_MAP_GUARD_M = 8  # codomain dimension m: lambda_map
 # n + m, the exponent of the group order: the structured kappa_group,
 # lambda_group and is_centrally_decomposable, and the sweep's group columns.
-# Their cost grows with p^(n+m) through the number of quotient candidates.
+# Their cost grows with the number of subspace pairs of F_p^n and of
+# quotient candidates in F_p^m.  perfbench's chain-n4 picks its groups by
+# this budget, so raising it changes that workload.
 # n + m = 6 admits every graph on up to 3 vertices (K_3 gives 3^6); past it
 # the fast path through the commutator map applies.
 GROUP_GUARD_EXP = 6
 TABLE_GUARD_ORDER = 3**5  # group order: lattice.small_group builds a Cayley table
 LATTICE_GUARD_ORDER = 3**4  # group order: all_subgroups, literal_kappa, literal_lambda
 SWEEP_MAP_GUARD_M = 4  # m: the sweep's map columns
-LINES_GUARD = 3**8  # lines (q^n - 1)/(q - 1): delta_space, is_fully_connected
+LINES_GUARD = 3**8  # lines (q^n - 1)/(q - 1): delta_space, is_fully_connected, VerifyConfig
 MAX_N_CAP = 6  # n: the largest graphs the sweep enumerates
 
 

@@ -25,6 +25,15 @@ groups of complete graphs would disagree with kappa(K_n) = n - 1.  Abelian
 pieces of v-rank >= 2 decompose genuinely, so the convention only speaks for
 rank 1.
 
+The pairs and their cross rows phi(U_J, U_K) do not depend on X, so
+_pair_blocks lists them once per ambient, in canonical order, and each
+search tests them against its own X.  lambda_group keeps them as one pair
+table: level s = 0 runs while the table is built, then one batched rank
+gives dim phi(U_J, U_K) of every pair, and each level s >= 1 tests only the
+pairs of dim <= s against a chunk of X at a time, through one product with
+the annihilators of the X.  Value and witness are those of the per-X scan
+(argument in lambda_group).
+
 A fast path recovers the bilinear map from commutators and delegates to the
 map-level solvers; the structured path and the fast path are independent
 above the shared decomposability primitive and must agree.
@@ -43,6 +52,8 @@ from . import gf
 from .altspace import matrices_from_json
 from .bilinear import AltBilinearMap, is_surjective, kappa_map, lambda_map
 from .gf import Subspace, check_guard, field, rank_batched, reduce_mod_rowspace, subspace_matrices
+
+_PAIR_CHUNK = 2**14  # entries in one direct-sum stack of _pair_blocks, and in one product of lambda_group
 
 
 @dataclass(frozen=True)
@@ -275,14 +286,68 @@ def commutator_map(P: BaerGroup) -> AltBilinearMap:
 # Central decompositions
 
 
+def _pair_blocks(P: BaerGroup, ambient: Subspace):
+    """The direct pairs of proper nonzero U_J, U_K <= ambient, with their cross rows.
+
+    Yields blocks (a, js, ks, cross): pair t of a block is U_J = row js[t]
+    of the dim-a stack and U_K = row ks[t] of the dim-(d - a) stack (those
+    of _pair_subspaces), with U_J + U_K = ambient; cross[t], of shape
+    (a (d - a), m), holds the values phi(x, y) mod p over the basis rows x
+    of U_J and y of U_K, whose span is phi(U_J, U_K).  The pairs come in
+    canonical order: a ascending, then j in subspace_matrices order, then k
+    ascending (k >= j when a = d - a).  A block covers consecutive j, at
+    most about _PAIR_CHUNK entries of direct-sum tests.  Nothing here
+    depends on a central X: each search tests the cross rows against its own.
+
+    Only direct pairs are listed: if a non-direct pair has phi(U_J, U_K) <= X,
+    replacing U_K by a complement of U_J n U_K inside U_K keeps that and
+    makes the pair direct, so directness loses nothing.
+    """
+    d, n, p = ambient.dim, P.n, P.p
+    B = ambient.mat()
+    for a in range(1, d // 2 + 1):
+        b = d - a
+        j_stack = (subspace_matrices(d, a, p) @ B) % p  # (NJ, a, n)
+        k_stack = (subspace_matrices(d, b, p) @ B) % p  # (NK, b, n)
+        # JA[j, x, k] = row x of U_J times the k-th matrix of phi, (NJ, a, m, n)
+        JA = np.einsum("jxi,kil->jxkl", j_stack, P.phi.tensor)
+        step = max(1, _PAIR_CHUNK // (len(k_stack) * d * n))
+        for lo in range(0, len(j_stack), step):
+            hi = min(lo + step, len(j_stack))
+            k0 = lo if a == b else 0
+            nk = len(k_stack) - k0
+            stacked = np.concatenate(
+                [np.broadcast_to(j_stack[lo:hi, None], (hi - lo, nk, a, n)),
+                 np.broadcast_to(k_stack[None, k0:], (hi - lo, nk, b, n))],
+                axis=2,
+            )
+            # direct-sum mask: rank of the stacked bases reaches dim ambient
+            direct = (rank_batched(stacked.reshape(-1, d, n), p, cap=d) == d).reshape(hi - lo, nk)
+            if a == b:
+                direct &= np.arange(k0, len(k_stack)) >= np.arange(lo, hi)[:, None]
+            js, ks = np.nonzero(direct)  # row-major: j ascending, then k
+            if not js.size:
+                continue
+            js, ks = js + lo, ks + k0
+            cross = JA[js].reshape(len(js), a * P.m, n) @ k_stack[ks].transpose(0, 2, 1)
+            cross = cross.reshape(len(js), a, P.m, b).transpose(0, 1, 3, 2) % p
+            yield a, js, ks, cross.reshape(len(js), a * b, P.m)
+
+
+def _pair_subspaces(P: BaerGroup, ambient: Subspace, a: int, j: int, k: int):
+    """(U_J, U_K) for row j of the dim-a stack and row k of the dim-(d - a) stack."""
+    d, p, B = ambient.dim, P.p, ambient.mat()
+    J = subspace_matrices(d, a, p)[j] @ B
+    K = subspace_matrices(d, d - a, p)[k] @ B
+    return Subspace.from_vectors(J, P.n, p), Subspace.from_vectors(K, P.n, p)
+
+
 def _pair_decomposable(P: BaerGroup, ambient: Subspace, X: Subspace):
     """Search proper nonzero U_J, U_K <= ambient with U_J + U_K = ambient and
     phi(U_J, U_K) <= X.  Returns (found, (U_J, U_K) or None).
 
-    Only direct pairs (dim U_J + dim U_K = dim ambient) are scanned: if a
-    non-direct pair satisfies the condition, replacing U_K by a complement of
-    U_J n U_K inside U_K keeps the condition and makes the pair direct, so
-    directness loses nothing.  The returned pair is always a direct sum.
+    The pairs are those of _pair_blocks, in its canonical order, so the
+    returned pair is the first one and always a direct sum.
 
     A 1-dimensional ambient has no proper pair and counts as decomposable by
     convention (see the module docstring); the witness is then None.
@@ -292,32 +357,13 @@ def _pair_decomposable(P: BaerGroup, ambient: Subspace, X: Subspace):
         raise ValueError("decomposability of the trivial piece is undefined")
     if d == 1:
         return True, None
-    p, AT = P.p, P.phi.tensor
-    B = ambient.mat()
     x_basis = X.mat()
-    for a in range(1, d // 2 + 1):
-        b = d - a
-        j_stack = (subspace_matrices(d, a, p) @ B) % p  # (NJ, a, n)
-        k_stack = (subspace_matrices(d, b, p) @ B) % p  # (NK, b, n)
-        for j_idx in range(len(j_stack)):
-            J = j_stack[j_idx]
-            ks = k_stack[j_idx:] if a == b else k_stack
-            # direct-sum mask: rank of the stacked bases reaches dim ambient
-            stacked = np.concatenate(
-                [np.broadcast_to(J, (len(ks), a, P.n)), ks], axis=1
-            )
-            direct = rank_batched(stacked, p, cap=d) == d
-            if not direct.any():
-                continue
-            cross = np.einsum("ai,kij,Nbj->Nabk", J, AT, ks) % p  # (NK, a, b, m)
-            resid = reduce_mod_rowspace(cross.reshape(-1, P.m), x_basis, p)
-            clean = ~resid.reshape(len(ks), -1).any(axis=1)
-            hits = np.flatnonzero(direct & clean)
-            if hits.size:
-                k_rows = ks[hits[0]]
-                U_J = Subspace.from_vectors(np.array(J), P.n, p)
-                U_K = Subspace.from_vectors(np.array(k_rows), P.n, p)
-                return True, (U_J, U_K)
+    for a, js, ks, cross in _pair_blocks(P, ambient):
+        resid = reduce_mod_rowspace(cross.reshape(-1, P.m), x_basis, P.p)
+        clean = ~resid.reshape(len(ks), -1).any(axis=1)
+        if clean.any():
+            t = int(clean.argmax())
+            return True, _pair_subspaces(P, ambient, a, int(js[t]), int(ks[t]))
     return False, None
 
 
@@ -405,11 +451,27 @@ def lambda_group(
 ) -> LambdaGroupResult:
     """Smallest s with P/N centrally decomposable, N <= [P,P] of order p^s.
 
-    structured: scan N_X over subspaces X of F^m, dim ascending; P/N_X
-    decomposes iff a proper nonzero pair covers F^n with phi-cross inside X.
-    Terminates at X = F^m where the quotient is elementary abelian of rank
-    n >= 2 and any direct split works (rank-1 groups fall under the cyclic
-    convention).
+    structured: P/N_X decomposes iff a proper nonzero pair covers F^n with
+    phi(U_J, U_K) <= X (module docstring).  The answer is the first hit in
+    the order s ascending, X in subspace_matrices order, then the pairs in
+    _pair_blocks order; the search reads that order off one pair table:
+    - Level s = 0 (X = 0) runs while the table is built: the first block
+      with a pair of zero cross rows returns that pair.
+    - Otherwise the table holds the cross rows of every pair, zero-padded to
+      one width, and one rank_batched call gives d_t = dim phi(U_J, U_K) of
+      every pair t.
+    - A pair with d_t > s lies in no X of dimension s, so level s keeps only
+      the pairs with d_t <= s; the first clean pair of every X stays the
+      same.  The X are walked in order, in chunks: a cross row lies in X iff
+      the closed-form annihilator of X kills it, so one product mod p per
+      chunk marks every clean (pair, X) cell.  The first X with a clean cell
+      and its first clean pair in table order are the canonical first hit.
+    - Levels below min d_t keep no pair and are skipped, and level
+      s = min d_t always ends the search: the span phi(U_J, U_K) of a pair
+      with d_t = s is itself an X of that level.  At s = m the only X is
+      F^m, where the quotient is elementary abelian of rank n >= 2, and the
+      first pair wins (rank-1 groups fall under the cyclic convention).
+    So value, N_X and pair are those of the per-X scan.
 
     fast: commutator map + map-level quotient search.
     """
@@ -419,14 +481,45 @@ def lambda_group(
     if method != "structured":
         raise ValueError("method must be 'structured' or 'fast'")
     check_guard("n+m", P.n + P.m, gf.GROUP_GUARD_EXP, force)
-    full = Subspace.full(P.n, P.p)
-    for s in range(P.m + 1):
-        for x_rows in subspace_matrices(P.m, s, P.p):
-            X = Subspace.from_vectors(np.array(x_rows).reshape(s, P.m), P.m, P.p)
-            found, pair = _pair_decomposable(P, full, X)
-            if found:
+    n, m, p = P.n, P.m, P.p
+    full = Subspace.full(n, p)
+    dtype = gf._work_dtype(p, m)  # holds every cross entry and every product sum below
+    width = (n // 2) * (n - n // 2)  # the most cross rows of a pair, at a = n // 2
+    # pair t of the table is row j_idx[t] of the dim-a_idx[t] stack and row k_idx[t] of its partner
+    a_idx, j_idx, k_idx, table = [], [], [], []
+    for a, js, ks, cross in _pair_blocks(P, full):
+        clean = ~cross.reshape(len(ks), -1).any(axis=1)
+        if clean.any():
+            t = int(clean.argmax())
+            return LambdaGroupResult(0, central_subgroup(P, Subspace.zero(m, p)),
+                                     _pair_subspaces(P, full, a, int(js[t]), int(ks[t])))
+        a_idx.append(np.full(len(ks), a, dtype=np.int8))
+        j_idx.append(js.astype(np.int32))
+        k_idx.append(ks.astype(np.int32))
+        padded = np.zeros((len(ks), width, m), dtype=dtype)
+        padded[:, : cross.shape[1]] = cross
+        table.append(padded)
+    a_idx, j_idx, k_idx, table = (np.concatenate(x) for x in (a_idx, j_idx, k_idx, table))
+    dims = rank_batched(table, p)
+    for s in range(1, m + 1):
+        kept = np.flatnonzero(dims <= s)
+        if not kept.size:
+            continue
+        rows = table[kept].reshape(-1, m)
+        xs = subspace_matrices(m, s, p)
+        step = max(1, _PAIR_CHUNK // max(1, len(rows) * (m - s)))
+        for lo in range(0, len(xs), step):
+            ann = gf.annihilator_matrices(xs[lo : lo + step], p).astype(dtype)  # (c, m - s, m)
+            dirty = (rows @ ann.reshape(-1, m).T) % p != 0
+            clean = ~dirty.reshape(len(kept), width, len(ann), m - s).any(axis=(1, 3))  # (pair, X)
+            hit = np.flatnonzero(clean.any(axis=0))
+            if hit.size:
+                x = int(hit[0])
+                t = int(kept[clean[:, x].argmax()])
+                X = Subspace.from_vectors(np.array(xs[lo + x]).reshape(s, m), m, p)
+                pair = _pair_subspaces(P, full, int(a_idx[t]), int(j_idx[t]), int(k_idx[t]))
                 return LambdaGroupResult(s, central_subgroup(P, X), pair)
-    raise AssertionError("the full quotient is abelian and must decompose")
+    raise AssertionError("the span of a pair's cross rows is an X that ends the search")
 
 
 # ---------------------------------------------------------------------------

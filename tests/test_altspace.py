@@ -392,6 +392,31 @@ def test_kappa_gt_lambda_instance_s2_t3():
     assert lambda_space(sp).value <= 3
 
 
+def test_kappa_gt_lambda_instance_s3_t3_gap_of_two(monkeypatch):
+    # kappa(P) - lambda(P) = 2.  lambda needs the filter tightened after the
+    # drop to 3 at the first U of level b = 3; without that it scans all
+    # 33880 U of the level, at about 58 ms each
+    real, calls = altspace._cut_ranks_for_u, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        if len(calls) > 100:
+            raise AssertionError("the level filter was not tightened after the drop")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(altspace, "_cut_ranks_for_u", counted)
+    sp = kappa_gt_lambda_instance(3, 3, 3)
+    assert (sp.n, sp.dim) == (6, 9)
+    assert kappa_space(sp)[0] == 5
+    res = lambda_space(sp)
+    e = np.eye(6, dtype=np.int64)
+    assert res.value == 3
+    assert res.U == gf.Subspace.from_vectors(e[:3], 6, 3)
+    assert res.V == gf.Subspace.from_vectors(e[3:], 6, 3)
+    assert cut_dim(sp, res.U, res.V) == 3
+    assert calls == [(2, 6)] * 26 + [(3, 6)]  # 26 kept U at b = 2, then the first U at b = 3
+
+
 def test_isometry_invariance():
     sp = space_from_graph(cycle_graph(4), 3)
     base = (kappa_space(sp)[0], lambda_space(sp).value, delta_space(sp)[0])

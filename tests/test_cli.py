@@ -278,6 +278,14 @@ def test_verify_bad_max_n(capsys):
     assert "max_n" in err
 
 
+def test_verify_refuses_a_sweep_past_the_lines_budget(capsys):
+    # n = 4 at q = 19 has 7240 lines: refused before any row, not one ERROR row per graph
+    code, out, err = run(capsys, "verify", "--q", "19", "--max-n", "4", "--threads", "1")
+    assert code == 2
+    assert out == ""
+    assert "lines=7240" in err and "force" in err
+
+
 def test_verify_exit_code_flips_on_fail(capsys, monkeypatch):
     # exit-code wiring only; rows here are fabricated, not computed
     cfg = VerifyConfig(max_n=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blt import gf, group
-from blt.altspace import GuardExceeded, space_from_graph
+from blt.altspace import GuardExceeded, kappa_gt_lambda_instance, random_alt_space, space_from_graph
 from blt.bilinear import map_from_space
 from blt.graphs import (
     Graph,
@@ -13,6 +13,7 @@ from blt.graphs import (
     cycle_graph,
     disjoint_union,
     edge_connectivity,
+    graph_from_mask,
     path_graph,
     star_graph,
     vertex_connectivity,
@@ -269,6 +270,157 @@ def test_decomposability_guard_refuses_one_past_budget(monkeypatch):
     monkeypatch.setattr(group, "_pair_decomposable", started)
     with pytest.raises(GuardExceeded, match="--force"):
         is_centrally_decomposable(P)
+
+
+# -- the pair table against the per-X scan ------------------------------------
+
+
+def _reference_pair_search(P, ambient, X):
+    """The original per-U_J pair search, kept as the reference: first direct
+    pair (a ascending, U_J, then U_K in subspace_matrices order) with every
+    cross value phi(x, y) inside X."""
+    d, p = ambient.dim, P.p
+    if d == 1:
+        return True, None
+    B = ambient.mat()
+    for a in range(1, d // 2 + 1):
+        b = d - a
+        j_stack = (gf.subspace_matrices(d, a, p) @ B) % p
+        k_stack = (gf.subspace_matrices(d, b, p) @ B) % p
+        for j_idx in range(len(j_stack)):
+            J = j_stack[j_idx]
+            ks = k_stack[j_idx:] if a == b else k_stack
+            stacked = np.concatenate([np.broadcast_to(J, (len(ks), a, P.n)), ks], axis=1)
+            direct = gf.rank_batched(stacked, p, cap=d) == d
+            cross = np.einsum("ai,kij,Nbj->Nabk", J, P.phi.tensor, ks) % p
+            resid = gf.reduce_mod_rowspace(cross.reshape(-1, P.m), X.mat(), p)
+            clean = ~resid.reshape(len(ks), -1).any(axis=1)
+            hits = np.flatnonzero(direct & clean)
+            if hits.size:
+                U_J = gf.Subspace.from_vectors(J, P.n, p)
+                return True, (U_J, gf.Subspace.from_vectors(ks[hits[0]], P.n, p))
+    return False, None
+
+
+def _reference_lambda(P):
+    """The original per-X loop of lambda_group: X by dim, then canonical order."""
+    full = gf.Subspace.full(P.n, P.p)
+    for s in range(P.m + 1):
+        for x_rows in gf.subspace_matrices(P.m, s, P.p):
+            X = gf.Subspace.from_vectors(x_rows.reshape(s, P.m), P.m, P.p)
+            found, pair = _reference_pair_search(P, full, X)
+            if found:
+                return s, X, pair
+    raise AssertionError("unreachable: X = F^m always admits a pair")
+
+
+def _equivalence_groups():
+    out = [
+        (f"n{n}e{mask}", group_from_graph(graph_from_mask(n, mask), 3))
+        for n in (2, 3, 4)
+        for mask in range(1, 1 << (n * (n - 1) // 2))
+        if n + bin(mask).count("1") <= 7
+    ]
+    out.append(("separation", baer_group(map_from_space(kappa_gt_lambda_instance(2, 2, 3)), 3)))
+    rng = np.random.default_rng(7)
+    for i in range(14):
+        p = (3, 5)[i % 2]
+        n = int(rng.integers(2, 5 if p == 3 or i == 13 else 4))  # one n = 4 at p = 5: 0.7 s each
+        m = int(rng.integers(1, min(n * (n - 1) // 2, (7 if p == 3 else 6) - n) + 1))
+        out.append((f"random{i}-n{n}m{m}p{p}", baer_group(map_from_space(random_alt_space(n, m, p, rng)), p)))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 2**20])
+def test_pair_blocks_list_each_direct_pair_once_in_canonical_order(monkeypatch, chunk):
+    monkeypatch.setattr(group, "_PAIR_CHUNK", chunk)
+    K4 = group_from_graph(complete_graph(4), 3)
+    cases = [
+        (K4, gf.Subspace.full(4, 3)),
+        (K4, gf.Subspace.from_vectors([[1, 0, 0, 1], [0, 1, 2, 0], [0, 0, 1, 1]], 4, 3)),
+        (group_from_graph(path_graph(3), 5), gf.Subspace.full(3, 5)),
+    ]
+    for P, ambient in cases:
+        d, p = ambient.dim, P.p
+        stride = 1 if d < 4 else 97  # every pair below d = 4, a sample of the 6345 at d = 4
+        seen = []
+        for a, js, ks, cross in group._pair_blocks(P, ambient):
+            seen += [(a, int(j), int(k)) for j, k in zip(js, ks)]
+            for j, k, c in list(zip(js, ks, cross))[::stride]:
+                U_J, U_K = group._pair_subspaces(P, ambient, a, int(j), int(k))
+                assert U_J.sum_with(U_K) == ambient and U_J.dim == a
+                want = [P.phi(x, y) for x in U_J.mat() for y in U_K.mat()]
+                assert gf.Subspace.from_vectors(c, P.m, p) == gf.Subspace.from_vectors(want, P.m, p)
+        assert seen == sorted(set(seen))
+        # U_J has p^(a (d - a)) complements; at a = d - a each pair is listed once
+        count = sum(
+            gf.gaussian_binomial(d, a, p) * p ** (a * (d - a)) // (2 if 2 * a == d else 1)
+            for a in range(1, d // 2 + 1)
+        )
+        assert len(seen) == count
+
+
+@pytest.fixture(scope="module")
+def lambda_reference():
+    return [(name, P, _reference_lambda(P)) for name, P in _equivalence_groups()]
+
+
+@pytest.mark.parametrize("chunk", [1, 2**20])
+def test_lambda_group_matches_the_per_x_scan(monkeypatch, lambda_reference, chunk):
+    monkeypatch.setattr(group, "_PAIR_CHUNK", chunk)
+    values = set()
+    for name, P, (s, X, pair) in lambda_reference:
+        res = lambda_group(P, force=True)
+        assert (res.value, res.quotient_by.X, res.pair) == (s, X, pair), name
+        values.add(s)
+    assert values == {0, 1, 2}  # the level-0 exit, the table at s = 1 and at s = 2
+
+
+def test_pair_searches_with_modulo_match_the_reference():
+    rng = np.random.default_rng(11)
+    hits = 0
+    for name, P in _equivalence_groups()[::2]:
+        full = gf.Subspace.full(P.n, P.p)
+        for c in range(1, P.m + 1):
+            X = gf.Subspace.from_vectors(rng.integers(0, P.p, size=(c, P.m)), P.m, P.p)
+            got = is_centrally_decomposable(P, X, force=True)
+            assert got == _reference_pair_search(P, full, X), (name, X.rows)
+            hits += got[0]
+        if P.n + P.m <= 6:
+            k = kappa_group(P, force=True)
+            want = next(
+                (s, U, pair)
+                for s in range(P.n)
+                for U in gf.enumerate_subspaces(P.n, P.n - s, P.p)
+                for found, pair in [_reference_pair_search(P, U, gf.Subspace.zero(P.m, P.p))]
+                if found
+            )
+            assert (k.value, k.subgroup.U, k.pair) == want, name
+    assert hits > 0
+
+
+def test_group_level_closes_at_four_vertices():
+    # lambda(P_G) = lambda(G) and kappa(P_G) = kappa(G) on every labeled graph on 2..4 vertices
+    for n in (2, 3, 4):
+        for g in all_labeled_graphs(n):
+            if not g.edges:
+                continue
+            P = group_from_graph(g, 3)
+            assert kappa_group(P, force=True).value == vertex_connectivity(g)[0], g
+            assert lambda_group(P, force=True).value == edge_connectivity(g)[0], g
+
+
+def test_k4_lambda_group_witness():
+    P = group_from_graph(complete_graph(4), 3)
+    res = lambda_group(P, force=True)
+    e = np.eye(6, dtype=np.int64)
+    assert res.value == 3
+    assert res.quotient_by.X == gf.Subspace.from_vectors(e[:3], 6, 3)
+    U_J, U_K = res.pair
+    assert U_J == gf.Subspace.from_vectors([[1, 0, 0, 0]], 4, 3)
+    assert U_K == gf.Subspace.from_vectors([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], 4, 3)
+    assert U_J.sum_with(U_K).dim == 4
+    assert all(res.quotient_by.X.contains(P.phi(x, y)) for x in U_J.mat() for y in U_K.mat())
 
 
 def test_commutator_map_roundtrip():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from blt import harness
+from blt.gf import GuardExceeded
 from blt.harness import (
     VerifyConfig,
     VerifyReport,
@@ -25,6 +26,19 @@ def test_config_validation():
         VerifyConfig(q=4)
     with pytest.raises(ValueError, match="level"):
         VerifyConfig(level="matrices")
+
+
+def test_config_refuses_a_sweep_past_the_lines_budget():
+    # n = 4 at q = 19: (19^4 - 1)/18 = 7240 lines, past gf.LINES_GUARD
+    with pytest.raises(GuardExceeded, match="lines=7240.*force"):
+        VerifyConfig(max_n=4, q=19)
+    with pytest.raises(GuardExceeded, match="lines=7240"):
+        VerifyConfig(max_n=4, q=19, level="space")
+    VerifyConfig(max_n=3, q=19, level="space")  # 381 lines
+    VerifyConfig(max_n=4, q=19, level="graph")  # no space columns
+    cfg = VerifyConfig(max_n=4, q=19, level="space", force=True)
+    row, _ = compute_row(4, 1, cfg)
+    assert row["status"] == "PASS" and row["lambda_A"] == 0
 
 
 def test_config_depth_and_label():
