@@ -35,6 +35,9 @@ in bilinear (kappa_map, lambda_map) share one candidate loop,
 first_decomposable: one batched rank per chunk gives each candidate's
 self-adjoint algebra, dimension 1 proves it indecomposable, and every
 other candidate gets the oracle's own literal test, in canonical order.
+The kappa searches at every level (kappa_space_bruteforce, kappa_map and
+the structured group.kappa_group) are one restriction walk on top of it,
+first_restriction, and differ only in their exact tests.
 
 Level scans and line degrees are computed once per space object and shared
 by kappa, lambda, delta and decomposability.
@@ -112,17 +115,6 @@ class AltMatrixSpace:
     def _scans(self) -> dict:
         """b -> read-only (r1, r2) of the level-b scan; filled by _dim_scan."""
         return {}
-
-    def contains(self, mat) -> bool:
-        A = gf.as_residues(mat, self.q)
-        stacked = np.vstack([self.tensor.reshape(self.dim, -1), A.reshape(1, -1)])
-        return gf.rank_gf(stacked, self.q) == self.dim
-
-    def image_of(self, v) -> Subspace:
-        """The subspace A v over all A in the space (the 'neighbourhood' of v)."""
-        v = gf.as_residues(v, self.q)
-        cols = (self.tensor @ v) % self.q
-        return Subspace.from_vectors(cols.reshape(self.dim, self.n), self.n, self.q)
 
     def __repr__(self):
         return f"AltMatrixSpace(n={self.n}, q={self.q}, dim={self.dim})"
@@ -386,6 +378,31 @@ def first_decomposable(
     return None
 
 
+def first_restriction(A: np.ndarray, n: int, q: int, exact: Callable[[Subspace], bool]) -> Tuple[int, Subspace]:
+    """(c, U): the first U with exact(U), c ascending and U of dim n - c in
+    subspace_matrices order; the restriction walk of kappa at every level.
+
+    A is the (m, n, n) stack of a space, a map or a group's commutator map,
+    and exact(U) must be true exactly when the restriction of A to U
+    decomposes.  Each level goes through first_decomposable on the
+    restriction stacks U A_k U^t, so a U whose restriction has a
+    one-dimensional self-adjoint algebra is skipped, and the first U and
+    whatever exact recorded for it are those of the plain walk.  Lines
+    (w = 1) are never filtered and restrict to zero, which decomposes by
+    convention, so c = n - 1 ends the walk.
+    """
+    for c in range(n):
+        Us = subspace_matrices(n, n - c, q)
+        i = first_decomposable(
+            len(Us), len(A), n - c, q,
+            lambda lo, hi: np.einsum("ubi,kij,ucj->ukbc", Us[lo:hi], A, Us[lo:hi]),
+            lambda i: exact(Subspace.from_vectors(Us[i], n, q)),
+        )
+        if i is not None:
+            return c, Subspace.from_vectors(Us[i], n, q)
+    raise AssertionError("restriction to a line is zero and must decompose")
+
+
 # ---------------------------------------------------------------------------
 # kappa
 
@@ -394,6 +411,7 @@ def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Sub
     """(kappa, W): smallest c with a decomposable restriction, dim W = n - c."""
     n, q = space.n, space.q
     check_guard("n", n, gf.GUARD_N, force)
+    _check_lines_guard(space, force)
     best = n - 1
     best_u: Optional[np.ndarray] = None
     for b in range(1, n // 2 + 1):
@@ -419,21 +437,11 @@ def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Sub
 def kappa_space_bruteforce(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Subspace]:
     """Literal search: c ascending, restrictions in canonical order.
 
-    first_decomposable skips the restrictions that its self-adjoint filter
+    first_restriction skips the restrictions that its self-adjoint filter
     proves indecomposable; every other one is tested literally, in order.
     """
-    n, q, A = space.n, space.q, space.tensor
-    check_guard("n", n, gf.BRUTEFORCE_GUARD_N, force)
-    for c in range(n):
-        Ws = subspace_matrices(n, n - c, q)
-        i = first_decomposable(
-            len(Ws), space.dim, n - c, q,
-            lambda lo, hi: np.einsum("ubi,kij,ucj->ukbc", Ws[lo:hi], A, Ws[lo:hi]),
-            lambda i: is_orth_decomposable(restrict(space, Subspace.from_vectors(Ws[i], n, q)))[0],
-        )
-        if i is not None:
-            return c, Subspace.from_vectors(Ws[i], n, q)
-    raise AssertionError("dim-1 restrictions are zero spaces and must decompose")
+    check_guard("n", space.n, gf.BRUTEFORCE_GUARD_N, force)
+    return first_restriction(space.tensor, space.n, space.q, lambda U: is_orth_decomposable(restrict(space, U))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +568,7 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     if n < 2:
         raise ValueError("lambda needs ambient dimension >= 2")
     check_guard("n", n, gf.GUARD_N, force)
+    _check_lines_guard(space, force)
     dec, w = is_orth_decomposable(space)
     if dec:
         if w is None:

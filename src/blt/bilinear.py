@@ -12,8 +12,8 @@ map operations: kappa restricts the domain to subspaces U (the tuple becomes
 rewritten in a basis extending X and the X-coordinates are dropped).  A map
 is orthogonally decomposable iff the span of its tuple is, so the space
 module's decomposability test is reused as the inner oracle; the searches
-above it are independent of the space-level solvers, which is what makes
-agreement between the two routes a meaningful check.
+above it are independent of the pruned space-level solvers, which is what
+makes agreement between the two routes a meaningful check.
 
 Both searches walk their candidates (levels ascending, canonical order
 within a level, first hit returned) through altspace.first_decomposable.
@@ -22,7 +22,9 @@ one's self-adjoint algebra {X : X^t A = A X}; dimension 1 proves the
 candidate indecomposable, so it is skipped.  Every other candidate gets the
 literal test above (restrict_map or quotient_map, then
 is_orth_decomposable), in order, so value and witness are those of the
-plain one-at-a-time loop.
+plain one-at-a-time loop.  kappa_map's walk is altspace.first_restriction,
+the one restriction walk that kappa_space_bruteforce and the structured
+group.kappa_group also take; only the exact tests differ.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from . import gf
 from .altspace import (
     AltMatrixSpace,
     first_decomposable,
+    first_restriction,
     is_alternating,
     is_orth_decomposable,
     matrices_from_json,
@@ -151,25 +154,13 @@ def is_map_decomposable(phi: AltBilinearMap):
 def kappa_map(phi: AltBilinearMap, *, force: bool = False) -> Tuple[int, Subspace]:
     """Smallest c such that phi restricted to some (n-c)-dim U decomposes.
 
-    Literal search: c ascending, U in canonical order, first hit returned.
-    first_decomposable skips each U whose restriction U A_k U^t has a
-    one-dimensional self-adjoint algebra (proven indecomposable) and sends
-    every other U, in order, to the literal test on restrict_map(phi, U).
+    Literal search through altspace.first_restriction: c ascending, U in
+    canonical order, the first U on which restrict_map(phi, U) decomposes.
     Restrictions to lines are zero maps and decompose by the degenerate
     convention, so c = n - 1 always terminates the search.
     """
-    n, q, A = phi.n, phi.q, phi.tensor
-    check_guard("n", n, gf.GUARD_N, force)
-    for c in range(n):
-        Us = subspace_matrices(n, n - c, q)
-        i = first_decomposable(
-            len(Us), phi.m, n - c, q,
-            lambda lo, hi: np.einsum("ubi,kij,ucj->ukbc", Us[lo:hi], A, Us[lo:hi]),
-            lambda i: is_map_decomposable(restrict_map(phi, Subspace.from_vectors(Us[i], n, q)))[0],
-        )
-        if i is not None:
-            return c, Subspace.from_vectors(Us[i], n, q)
-    raise AssertionError("restriction to a line is a zero map and must decompose")
+    check_guard("n", phi.n, gf.GUARD_N, force)
+    return first_restriction(phi.tensor, phi.n, phi.q, lambda U: is_map_decomposable(restrict_map(phi, U))[0])
 
 
 def lambda_map(phi: AltBilinearMap, *, force: bool = False) -> Tuple[int, Subspace]:
@@ -183,6 +174,7 @@ def lambda_map(phi: AltBilinearMap, *, force: bool = False) -> Tuple[int, Subspa
     codomain gives the zero map, so c = m terminates.
     """
     n, m, q = phi.n, phi.m, phi.q
+    check_guard("n", n, gf.GUARD_N, force)  # every exact test scans subspaces of F^n
     check_guard("m", m, gf.LAMBDA_MAP_GUARD_M, force)
     if m == 0:
         ok, _ = is_map_decomposable(phi)

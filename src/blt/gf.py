@@ -33,7 +33,7 @@ MAX_Q = 251
 # Size budgets of the exhaustive searches, each set here and nowhere else.  A
 # search past its budget raises GuardExceeded unless force=True (CLI:
 # --force); MAX_N_CAP is a hard cap of the sweep that force does not lift.
-GUARD_N = 6  # n: kappa_space, lambda_space, kappa_map, deg_element, delta_group
+GUARD_N = 6  # n: kappa_space, lambda_space, kappa_map, lambda_map, deg_element, delta_group
 BRUTEFORCE_GUARD_N = 5  # n: kappa_space_bruteforce
 ORACLE_GUARD_M = 6  # space dimension m: lambda_space_oracle
 LAMBDA_MAP_GUARD_M = 8  # codomain dimension m: lambda_map
@@ -48,7 +48,7 @@ GROUP_GUARD_EXP = 6
 TABLE_GUARD_ORDER = 3**5  # group order: lattice.small_group builds a Cayley table
 LATTICE_GUARD_ORDER = 3**4  # group order: all_subgroups, literal_kappa, literal_lambda
 SWEEP_MAP_GUARD_M = 4  # m: the sweep's map columns
-LINES_GUARD = 3**8  # lines (q^n - 1)/(q - 1): delta_space, is_fully_connected, VerifyConfig
+LINES_GUARD = 3**8  # lines (q^n - 1)/(q - 1): kappa_space, lambda_space, delta_space, is_fully_connected, VerifyConfig
 MAX_N_CAP = 6  # n: the largest graphs the sweep enumerates
 
 
@@ -173,23 +173,6 @@ def nullspace(mat, q: int) -> np.ndarray:
         for row, p in enumerate(pivots):
             basis[i, p] = (-R[row, c]) % q
     return rref(basis, q)[0][: len(free)]
-
-
-def solve_matrix(A, B, q: int) -> Optional[np.ndarray]:
-    """One solution X of A @ X = B over F_q, or None if inconsistent."""
-    A = as_residues(A, q)
-    B = as_residues(B, q)
-    if B.ndim == 1:
-        B = B[:, None]
-    aug = np.hstack([A, B])
-    R, r, pivots = rref(aug, q)
-    n = A.shape[1]
-    if any(p >= n for p in pivots):
-        return None
-    X = np.zeros((n, B.shape[1]), dtype=np.int64)
-    for row, p in enumerate(pivots):
-        X[p] = R[row, n:]
-    return X
 
 
 def invert(mat, q: int) -> np.ndarray:

@@ -29,14 +29,17 @@ The pairs and their cross rows phi(U_J, U_K) do not depend on X, so
 _pair_blocks lists them once per ambient, in canonical order, and each
 search tests them against its own X.  lambda_group keeps them as one pair
 table: level s = 0 runs while the table is built, then one batched rank
-gives dim phi(U_J, U_K) of every pair, and each level s >= 1 tests only the
-pairs of dim <= s against a chunk of X at a time, through one product with
-the annihilators of the X.  Value and witness are those of the per-X scan
-(argument in lambda_group).
+gives dim phi(U_J, U_K) of every pair, and the search goes straight to the
+level s = min dim phi(U_J, U_K), where the pairs of that dim are tested
+against a chunk of X at a time, through one product with the annihilators
+of the X.  Value and witness are those of the per-X scan (argument in
+lambda_group).
 
 A fast path recovers the bilinear map from commutators and delegates to the
-map-level solvers; the structured path and the fast path are independent
-above the shared decomposability primitive and must agree.
+map-level solvers.  For kappa the structured and the fast path share the
+restriction walk altspace.first_restriction and its self-adjoint filter;
+only their exact tests differ (the pair search here, is_orth_decomposable
+of the restricted map there), and the two must agree.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from . import gf
-from .altspace import matrices_from_json
+from .altspace import first_restriction, matrices_from_json
 from .bilinear import AltBilinearMap, is_surjective, kappa_map, lambda_map
 from .gf import Subspace, check_guard, field, rank_batched, reduce_mod_rowspace, subspace_matrices
 
@@ -162,9 +165,6 @@ class StandardSubgroup:
 
     def order(self, p: int) -> int:
         return p ** (self.U.dim + self.X.dim)
-
-    def contains(self, g: GroupElement) -> bool:
-        return self.U.contains(np.array(g.v)) and self.X.contains(np.array(g.u))
 
 
 def phi_image_span(P: BaerGroup, U: Subspace) -> Subspace:
@@ -422,7 +422,9 @@ def kappa_group(
     structured: scan S_U over subspaces U of dim n-s, s ascending; S_U is
     regular by construction and |S_U/[S_U,S_U]| = p^(dim U).  Central
     decomposability of S_U reduces to a subspace pair inside U with vanishing
-    phi-cross.  Always terminates: a 1-dimensional U gives a cyclic piece.
+    phi-cross, an orthogonal split of phi on U, so altspace.first_restriction
+    walks the U and its self-adjoint filter skips only U that have no pair.
+    Always terminates: a 1-dimensional U gives a cyclic piece.
 
     fast: recover the commutator map and run the map-level restriction
     search; no group-size guard.
@@ -434,13 +436,15 @@ def kappa_group(
         raise ValueError("method must be 'structured' or 'fast'")
     check_guard("n+m", P.n + P.m, gf.GROUP_GUARD_EXP, force)
     zero = Subspace.zero(P.m, P.p)
-    for s in range(P.n):
-        for u_rows in subspace_matrices(P.n, P.n - s, P.p):
-            U = Subspace.from_vectors(np.array(u_rows), P.n, P.p)
-            found, pair = _pair_decomposable(P, U, zero)
-            if found:
-                return KappaGroupResult(s, regular_subgroup(P, U), pair)
-    raise AssertionError("a 1-dimensional U always decomposes by convention")
+    pair = None
+
+    def exact(U: Subspace) -> bool:
+        nonlocal pair
+        found, pair = _pair_decomposable(P, U, zero)
+        return found
+
+    s, U = first_restriction(P.phi.tensor, P.n, P.p, exact)
+    return KappaGroupResult(s, regular_subgroup(P, U), pair)
 
 
 def lambda_group(
@@ -460,17 +464,19 @@ def lambda_group(
     - Otherwise the table holds the cross rows of every pair, zero-padded to
       one width, and one rank_batched call gives d_t = dim phi(U_J, U_K) of
       every pair t.
-    - A pair with d_t > s lies in no X of dimension s, so level s keeps only
-      the pairs with d_t <= s; the first clean pair of every X stays the
-      same.  The X are walked in order, in chunks: a cross row lies in X iff
-      the closed-form annihilator of X kills it, so one product mod p per
-      chunk marks every clean (pair, X) cell.  The first X with a clean cell
-      and its first clean pair in table order are the canonical first hit.
-    - Levels below min d_t keep no pair and are skipped, and level
-      s = min d_t always ends the search: the span phi(U_J, U_K) of a pair
-      with d_t = s is itself an X of that level.  At s = m the only X is
-      F^m, where the quotient is elementary abelian of rank n >= 2, and the
-      first pair wins (rank-1 groups fall under the cyclic convention).
+    - A pair with d_t > s lies in no X of dimension s, so no level below
+      s = min d_t has a hit, and level s = min d_t always has one: the span
+      phi(U_J, U_K) of a pair with d_t = s is itself an X of that level.
+      The search goes straight to that level and keeps only the pairs with
+      d_t = s; the first clean pair of every X stays the same.  At s = m
+      the only X is F^m, where the quotient is elementary abelian of rank
+      n >= 2, and the first pair wins (rank-1 groups fall under the cyclic
+      convention).
+    - The X of level s are walked in order, in chunks: a cross row lies in
+      X iff the closed-form annihilator of X kills it, so one product mod p
+      per chunk marks every clean (pair, X) cell.  The first X with a clean
+      cell and its first clean pair in table order are the canonical first
+      hit.
     So value, N_X and pair are those of the per-X scan.
 
     fast: commutator map + map-level quotient search.
@@ -501,24 +507,22 @@ def lambda_group(
         table.append(padded)
     a_idx, j_idx, k_idx, table = (np.concatenate(x) for x in (a_idx, j_idx, k_idx, table))
     dims = rank_batched(table, p)
-    for s in range(1, m + 1):
-        kept = np.flatnonzero(dims <= s)
-        if not kept.size:
-            continue
-        rows = table[kept].reshape(-1, m)
-        xs = subspace_matrices(m, s, p)
-        step = max(1, _PAIR_CHUNK // max(1, len(rows) * (m - s)))
-        for lo in range(0, len(xs), step):
-            ann = gf.annihilator_matrices(xs[lo : lo + step], p).astype(dtype)  # (c, m - s, m)
-            dirty = (rows @ ann.reshape(-1, m).T) % p != 0
-            clean = ~dirty.reshape(len(kept), width, len(ann), m - s).any(axis=(1, 3))  # (pair, X)
-            hit = np.flatnonzero(clean.any(axis=0))
-            if hit.size:
-                x = int(hit[0])
-                t = int(kept[clean[:, x].argmax()])
-                X = Subspace.from_vectors(np.array(xs[lo + x]).reshape(s, m), m, p)
-                pair = _pair_subspaces(P, full, int(a_idx[t]), int(j_idx[t]), int(k_idx[t]))
-                return LambdaGroupResult(s, central_subgroup(P, X), pair)
+    s = int(dims.min())
+    kept = np.flatnonzero(dims == s)
+    rows = table[kept].reshape(-1, m)
+    xs = subspace_matrices(m, s, p)
+    step = max(1, _PAIR_CHUNK // max(1, len(rows) * (m - s)))
+    for lo in range(0, len(xs), step):
+        ann = gf.annihilator_matrices(xs[lo : lo + step], p).astype(dtype)  # (c, m - s, m)
+        dirty = (rows @ ann.reshape(-1, m).T) % p != 0
+        clean = ~dirty.reshape(len(kept), width, len(ann), m - s).any(axis=(1, 3))  # (pair, X)
+        hit = np.flatnonzero(clean.any(axis=0))
+        if hit.size:
+            x = int(hit[0])
+            t = int(kept[clean[:, x].argmax()])
+            X = Subspace.from_vectors(np.array(xs[lo + x]).reshape(s, m), m, p)
+            pair = _pair_subspaces(P, full, int(a_idx[t]), int(j_idx[t]), int(k_idx[t]))
+            return LambdaGroupResult(s, central_subgroup(P, X), pair)
     raise AssertionError("the span of a pair's cross rows is an X that ends the search")
 
 

@@ -471,14 +471,12 @@ def test_no_guard_keywords_in_library():
         # path graphs: n = budget + 1 vertices, or m = budget + 1 edges
         (kappa_space_bruteforce, space_from_graph(path_graph(gf.BRUTEFORCE_GUARD_N + 1), 3), altspace),
         (lambda_space_oracle, space_from_graph(path_graph(gf.ORACLE_GUARD_M + 2), 3), altspace),
-        (bilinear.kappa_map, map_from_space(space_from_graph(path_graph(gf.GUARD_N + 1), 3)), bilinear),
-        (
-            bilinear.lambda_map,
-            map_from_space(space_from_graph(path_graph(gf.LAMBDA_MAP_GUARD_M + 2), 3)),
-            bilinear,
-        ),
+        (bilinear.kappa_map, map_from_space(space_from_graph(path_graph(gf.GUARD_N + 1), 3)), altspace),
+        # K5 minus an edge: n = 5 passes the n budget, m = 9 does not
+        (bilinear.lambda_map, map_from_space(space_from_graph(graph_from_mask(5, 0b1111111110), 3)), bilinear),
+        (bilinear.lambda_map, map_from_space(space_from_graph(path_graph(gf.GUARD_N + 1), 3)), bilinear),
     ],
-    ids=["kappa_space_bruteforce", "lambda_space_oracle", "kappa_map", "lambda_map"],
+    ids=["kappa_space_bruteforce", "lambda_space_oracle", "kappa_map", "lambda_map", "lambda_map_n"],
 )
 def test_guard_refuses_one_past_budget(monkeypatch, solver, arg, module):
     def started(*args, **kwargs):
@@ -611,7 +609,7 @@ def test_space_oracles_do_not_depend_on_chunk_size(monkeypatch, chunk):
     assert [_space_oracle_answers(sp) for sp in spaces] == want
 
 
-# the guard on the number of lines: delta_space and is_fully_connected
+# the guard on the number of lines: kappa_space, lambda_space, delta_space and is_fully_connected
 
 LINES_PAST_GUARD = space_from_graph(path_graph(9), 3)  # (3^9 - 1)/2 = 9841 lines
 
@@ -630,6 +628,10 @@ def test_lines_guard_refuses_one_past_budget(monkeypatch):
             solver(LINES_PAST_GUARD)
     with pytest.raises(GuardExceeded, match="lines=9841"):
         delta_space(LINES_PAST_GUARD)
+    # n = 4 passes the n budget of kappa_space and lambda_space, but F_19^4 has 7240 lines
+    for solver in (kappa_space, lambda_space):
+        with pytest.raises(GuardExceeded, match="lines=7240"):
+            solver(space_from_graph(path_graph(4), 19))
 
 
 def test_lines_guard_lifts_with_force():

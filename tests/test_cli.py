@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from blt import cli, harness
+from blt import altspace, cli, harness
 from blt.harness import VerifyConfig, VerifyReport
 
 K2 = "2 1\n1 2\n"
@@ -28,6 +28,10 @@ def put(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _started(*args, **kwargs):
+    raise AssertionError("the scan ran past the guard")
 
 
 # -- graph-conn --------------------------------------------------------------
@@ -129,10 +133,20 @@ def test_space_fullconn(tmp_path, capsys):
     assert len(payload["disconnected_pair"]) == 2
 
 
-def test_space_guard(tmp_path, capsys):
+def test_space_guard(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "space", "kappa", put(tmp_path, "s7.edges", STAR7))
     assert code == 2
     assert "force" in err
+    # n = 4 passes the n budget, but F_19^4 has 7240 lines
+    src = put(tmp_path, "p4.edges", "4 3\n1 2\n2 3\n3 4\n")
+    code, out, _ = run(capsys, "space", "kappa", src, "--q", "19", "--force")
+    assert code == 0
+    assert json.loads(out)["kappa"] == 1
+    monkeypatch.setattr(altspace, "_dim_scan", _started)
+    for subcmd in ("kappa", "lambda"):
+        code, _, err = run(capsys, "space", subcmd, src, "--q", "19")
+        assert code == 2
+        assert "lines=7240" in err and "force" in err
 
 
 @pytest.mark.parametrize("subcmd", ["delta", "fullconn"])
@@ -183,11 +197,17 @@ def test_group_decompose(tmp_path, capsys):
     assert json.loads(out)["decomposable"] is False
 
 
-def test_group_guard(tmp_path, capsys):
+def test_group_guard(tmp_path, capsys, monkeypatch):
     # C_4 gives order 3^8, past the structured-search guard
     code, _, err = run(capsys, "group", "kappa", put(tmp_path, "c4.edges", C4))
     assert code == 2
     assert "force" in err
+    # the path on 7 vertices: m = 6 passes lambda_map's m budget, n = 7 does not
+    monkeypatch.setattr(altspace, "_dim_scan", _started)
+    src = put(tmp_path, "p7.edges", "7 6\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 7)))
+    code, _, err = run(capsys, "group", "lambda", src, "--method", "fast")
+    assert code == 2
+    assert "n=7" in err and "force" in err
 
 
 @pytest.mark.parametrize(

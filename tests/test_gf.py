@@ -49,14 +49,6 @@ def test_nullspace_matches_definition():
     assert ((np.array(A) @ N.T) % 3 == 0).all()
 
 
-def test_solve_matrix_roundtrip_and_inconsistent():
-    A = [[1, 2], [0, 1]]
-    B = [[2], [1]]
-    X = gf.solve_matrix(A, B, 3)
-    assert ((np.array(A) @ X) % 3 == np.array(B)).all()
-    assert gf.solve_matrix([[1, 1], [2, 2]], [[0], [1]], 3) is None
-
-
 def test_invert():
     A = [[1, 2], [1, 1]]
     Ainv = gf.invert(A, 3)

@@ -314,6 +314,17 @@ def _reference_lambda(P):
     raise AssertionError("unreachable: X = F^m always admits a pair")
 
 
+def _reference_kappa(P):
+    """The original per-U loop of the structured kappa_group, with no filter."""
+    zero = gf.Subspace.zero(P.m, P.p)
+    for s in range(P.n):
+        for U in gf.enumerate_subspaces(P.n, P.n - s, P.p):
+            found, pair = _reference_pair_search(P, U, zero)
+            if found:
+                return s, U, pair
+    raise AssertionError("unreachable: a 1-dimensional U decomposes by convention")
+
+
 def _equivalence_groups():
     out = [
         (f"n{n}e{mask}", group_from_graph(graph_from_mask(n, mask), 3))
@@ -379,24 +390,37 @@ def test_lambda_group_matches_the_per_x_scan(monkeypatch, lambda_reference, chun
 def test_pair_searches_with_modulo_match_the_reference():
     rng = np.random.default_rng(11)
     hits = 0
-    for name, P in _equivalence_groups()[::2]:
+    groups = _equivalence_groups()
+    for name, P in groups[::2]:
         full = gf.Subspace.full(P.n, P.p)
         for c in range(1, P.m + 1):
             X = gf.Subspace.from_vectors(rng.integers(0, P.p, size=(c, P.m)), P.m, P.p)
             got = is_centrally_decomposable(P, X, force=True)
             assert got == _reference_pair_search(P, full, X), (name, X.rows)
             hits += got[0]
-        if P.n + P.m <= 6:
-            k = kappa_group(P, force=True)
-            want = next(
-                (s, U, pair)
-                for s in range(P.n)
-                for U in gf.enumerate_subspaces(P.n, P.n - s, P.p)
-                for found, pair in [_reference_pair_search(P, U, gf.Subspace.zero(P.m, P.p))]
-                if found
-            )
-            assert (k.value, k.subgroup.U, k.pair) == want, name
     assert hits > 0
+    for name, P in groups:
+        k = kappa_group(P, force=True)
+        assert (k.value, k.subgroup.U, k.pair) == _reference_kappa(P), name
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(4), path_graph(4)], ids=["K4", "C4", "P4"])
+def test_kappa_group_runs_the_pair_search_once(monkeypatch, g):
+    # the self-adjoint filter skips every U before the first hit (172, 123 and 29 pair searches unfiltered)
+    P = group_from_graph(g, 3)
+    want = _reference_kappa(P)
+    calls = []
+    pair_search = group._pair_decomposable
+
+    def counted(*args):
+        calls.append(args)
+        return pair_search(*args)
+
+    monkeypatch.setattr(group, "_pair_decomposable", counted)
+    k = kappa_group(P, force=True)
+    assert len(calls) == 1
+    assert (k.value, k.subgroup.U, k.pair) == want
+    assert k.value == vertex_connectivity(g)[0]
 
 
 def test_group_level_closes_at_four_vertices():
