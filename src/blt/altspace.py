@@ -40,7 +40,11 @@ the structured group.kappa_group) are one restriction walk on top of it,
 first_restriction, and differ only in their exact tests.
 
 Level scans and line degrees are computed once per space object and shared
-by kappa, lambda, delta and decomposability.
+by kappa, lambda, delta and decomposability.  So is the row table: the rows
+l^t A_k of every line representative l, built on first use in the narrow
+integer width of gf._work_dtype.  Every RREF row is a line representative,
+so the scans gather their stacks from the table (_dim_scan, _level_bounds,
+_cut_ranks_for_u) and multiply them by subspace bases in that width.
 """
 
 from __future__ import annotations
@@ -115,6 +119,23 @@ class AltMatrixSpace:
     def _scans(self) -> dict:
         """b -> read-only (r1, r2) of the level-b scan; filled by _dim_scan."""
         return {}
+
+    @cached_property
+    def _row_table(self) -> np.ndarray:
+        """Read-only (L, m, n) table: entry i holds the rows (l^t A_k mod q)_k
+        of the i-th line representative l of projective_lines(n, q).
+
+        The level scans gather their stacks from it (_dim_scan, _level_bounds,
+        _cut_ranks_for_u): RREF rows are line representatives, found by
+        gf.subspace_row_lines.  Built on first use, once per space object.
+        The dtype is gf._work_dtype(q, n), whose bound n (q-1)^2 + q holds a
+        product of a table row with any n residues, so the stacks and their
+        products with subspace bases never leave it.
+        """
+        lines = gf.projective_lines(self.n, self.q)
+        t = (np.einsum("li,kij->lkj", lines, self.tensor) % self.q).astype(gf._work_dtype(self.q, self.n))
+        t.setflags(write=False)
+        return t
 
     def __repr__(self):
         return f"AltMatrixSpace(n={self.n}, q={self.q}, dim={self.dim})"
@@ -218,23 +239,26 @@ def restrict(space: AltMatrixSpace, W: Subspace) -> AltMatrixSpace:
 def _dim_scan(space: AltMatrixSpace, b: int):
     """For every b-dim U (canonical order): rank(M_U) and rank(M_U B_U^t).
 
-    M_U stacks the rows u_i^t A_k; its kernel is U^perp.  Returns (r1, r2),
+    M_U stacks the rows u_i^t A_k; its kernel is U^perp.  The stacks are
+    gathered from the row table at the line indices of the RREF rows of U,
+    and M_U B_U^t is one matmul in the table dtype.  Returns (r1, r2),
     read-only and computed once per space object.
     """
     if b in space._scans:
         return space._scans[b]
     n, q, m = space.n, space.q, space.dim
-    AT = space.tensor
+    T = space._row_table
     Us = subspace_matrices(n, b, q)
+    rows = gf.subspace_row_lines(n, b, q)
     N = len(Us)
     r1 = np.zeros(N, dtype=np.int64)
     r2 = np.zeros(N, dtype=np.int64)
     step = max(1, _CHUNK // max(1, b * max(m, 1)))
     for lo in range(0, N, step):
-        chunk = Us[lo : lo + step]
-        M = np.einsum("ubi,kij->ubkj", chunk, AT).reshape(len(chunk), b * m, n) % q
+        idx = rows[lo : lo + step]
+        M = T[idx].reshape(len(idx), b * m, n)
         r1[lo : lo + step] = rank_batched(M, q)
-        MBt = np.einsum("urj,ucj->urc", M, chunk)
+        MBt = M @ Us[lo : lo + step].transpose(0, 2, 1).astype(T.dtype)
         r2[lo : lo + step] = rank_batched(MBt, q)
     r1.setflags(write=False)
     r2.setflags(write=False)
@@ -486,34 +510,27 @@ def delta_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, np.
 
 
 def _cut_ranks_for_u(space: AltMatrixSpace, u_rows: np.ndarray, cap: int):
-    """Ranks of the cut matrices for every complement of U, complement order."""
+    """Ranks of the cut matrices for every complement of U, complement order.
+
+    The rows u^t A_k of the RREF basis u_rows come from the row table; the
+    cuts of a chunk of complements V are one matmul P V^t in the table dtype.
+    """
     n, q, m = space.n, space.q, space.dim
     b = len(u_rows)
-    P = np.einsum("kij,bi->kbj", space.tensor, u_rows) % q  # (m, b, n)
+    T = space._row_table
+    P = T[gf.line_index(u_rows, q)].transpose(1, 0, 2).reshape(m * b, n)  # rows (k, b)
     Vs = gf.complement_matrices(u_rows, q)
     NV = len(Vs)
     out = np.zeros(NV, dtype=np.int64)
     step = max(1, _CHUNK // max(1, m))
     for lo in range(0, NV, step):
         chunk = Vs[lo : lo + step]
-        cuts = np.einsum("kbj,vcj->vkbc", P, chunk).reshape(len(chunk), m, -1)
+        cuts = (P @ chunk.transpose(0, 2, 1).astype(T.dtype)).reshape(len(chunk), m, -1)
         out[lo : lo + step] = rank_batched(cuts, q, cap=cap)
     return out
 
 
-def _degree_code_table(space: AltMatrixSpace) -> np.ndarray:
-    """Degree of every nonzero vector, indexed by its base-q digit code."""
-    n, q = space.n, space.q
-    lines = gf.projective_lines(n, q)
-    degs = _line_degrees(space)
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    table = np.zeros(q**n, dtype=np.int64)
-    for a in range(1, q):
-        table[((a * lines) % q) @ powers] = degs
-    return table
-
-
-def _level_bounds(space: AltMatrixSpace, b: int, best: int, deg_table: np.ndarray) -> np.ndarray:
+def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
     """Lower bounds on the cut dimension of each dim-b subspace U, over every split U + V.
 
     Two lower bounds for the cut dimension across any split U + V:
@@ -522,19 +539,18 @@ def _level_bounds(space: AltMatrixSpace, b: int, best: int, deg_table: np.ndarra
       cut >= deg(u) - (b - 1) for every line u in U;
     - summing the same loss over a basis of U, cut >= dim{B_U A} - b(b-1).
     Both are independent of the choice of V; the bound of U is the larger.
-    The rank in the second is capped at best + b(b-1), which only lowers it,
-    so a capped bound is still a lower bound, and it reaches best exactly
-    when the uncapped one does.
+    The degrees of the lines in U are read from the line degrees at the
+    cached gf.subspace_lines, and the (m, b n) stacks B_U A are gathered
+    from the row table.  The rank in the second is capped at best + b(b-1),
+    which only lowers it, so a capped bound is still a lower bound, and it
+    reaches best exactly when the uncapped one does.
     """
     n, q, m = space.n, space.q, space.dim
-    u_stack = subspace_matrices(n, b, q)
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    combos = gf.projective_lines(b, q)
-    lines_u = np.einsum("cb,ubn->ucn", combos, u_stack) % q
-    max_deg = deg_table[lines_u @ powers].max(axis=1)
+    max_deg = _line_degrees(space)[gf.subspace_lines(n, b, q)].max(axis=1)
     bound = max_deg - (b - 1)
     if m:
-        flats = np.einsum("ubi,kij->ukbj", u_stack, space.tensor).reshape(len(u_stack), m, b * n)
+        rows = gf.subspace_row_lines(n, b, q)
+        flats = space._row_table[rows].transpose(0, 2, 1, 3).reshape(len(rows), m, b * n)
         r_flat = rank_batched(flats, q, cap=best + b * (b - 1))
         bound = np.maximum(bound, r_flat - b * (b - 1))
     return bound
@@ -578,9 +594,8 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     u_rows = v[None, :]
     v_rows = gf.complement_matrices(u_rows, q)[0]
     if best > 1:
-        deg_table = _degree_code_table(space)
         for b in range(2, n // 2 + 1):
-            bound = _level_bounds(space, b, best, deg_table)
+            bound = _level_bounds(space, b, best)
             Us = subspace_matrices(n, b, q)
             for u_idx in np.flatnonzero(bound < best):
                 if bound[u_idx] >= best:

@@ -355,6 +355,51 @@ def subspace_matrices(n: int, k: int, q: int) -> np.ndarray:
     return out
 
 
+def line_index(vectors: np.ndarray, q: int) -> np.ndarray:
+    """Position in projective_lines(n, q) of each vector along the last axis.
+
+    Every vector must be a line representative: its first nonzero entry is 1.
+    The lines with that entry at p form one block of q^(n-1-p) in pivot
+    order, so the position is the size of the earlier blocks,
+    (q^n - q^(n-p)) / (q - 1), plus the base-q value of the entries after p.
+    """
+    v = np.asarray(vectors)
+    n = v.shape[-1]
+    piv = (v != 0).argmax(axis=-1)
+    if not (np.take_along_axis(v, piv[..., None], axis=-1) == 1).all():
+        raise ValueError("line_index expects vectors whose first nonzero entry is 1")
+    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    tail = v @ powers - powers[piv]
+    return (q**n - q ** (n - piv)) // (q - 1) + tail
+
+
+@lru_cache(maxsize=None)
+def subspace_row_lines(n: int, k: int, q: int) -> np.ndarray:
+    """(N, k) line_index of the RREF rows of each subspace_matrices(n, k, q) entry.
+
+    An RREF row has a unit pivot first, so it is a line representative.
+    Cached and read-only.
+    """
+    out = line_index(subspace_matrices(n, k, q), q)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def subspace_lines(n: int, k: int, q: int) -> np.ndarray:
+    """(N, (q^k - 1)/(q - 1)) line_index of every line inside each k-dim subspace.
+
+    The lines of subspace i are the combinations projective_lines(k, q) of
+    its RREF rows, in that order.  The first nonzero coefficient is 1 and
+    meets its row's pivot, where the later rows are 0, so each combination
+    is a line representative.  Cached and read-only; needs k >= 1.
+    """
+    combos = projective_lines(k, q)
+    out = line_index(np.einsum("cb,ubn->ucn", combos, subspace_matrices(n, k, q)) % q, q)
+    out.setflags(write=False)
+    return out
+
+
 def enumerate_subspaces(n: int, k: int, q: int) -> Iterator[Subspace]:
     """Yield every k-dim subspace of F_q^n exactly once, deterministically."""
     if k < 0 or k > n:

@@ -23,9 +23,14 @@ pass/fail line per item.  Shared sweeps live in module-scoped fixtures.
  9. isometry invariance: kappa/lambda/delta unchanged under 20 seeded
     changes of basis
 10. determinism: the sweep report is byte-identical across thread counts
+
+The criterion-1 sweep report is also checked byte for byte against the
+sha256 stored with the benchmark reference answers.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +53,7 @@ from blt.bilinear import kappa_map, lambda_map, map_from_space
 from blt.gf import all_vectors, rank_gf
 from blt.graphs import cycle_graph, edge_connectivity, graph_from_mask, vertex_connectivity
 from blt.group import baer_group, deg_element, group_from_graph, kappa_group, lambda_group
-from blt.harness import VerifyConfig, run_verify
+from blt.harness import VerifyConfig, render_csv, run_verify
 from blt.lattice import (
     center_indices,
     check_associativity_exhaustive,
@@ -102,6 +107,14 @@ def test_criterion_01_graph_vs_space(space_sweep):
            != (r["kappa_A"], r["lambda_A"], r["delta_A"])]
     assert bad == []
     print(f"criterion 1: PASS - {len(rows)} labeled graphs, 2..5 vertices, q=3")
+
+
+def test_sweep_report_matches_the_stored_digest(space_sweep):
+    # the n <= 5 space sweep report is byte-identical to the stored benchmark reference
+    ref_path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "sweep-space-n5.json"
+    ref = json.loads(ref_path.read_text())
+    digest = hashlib.sha256(render_csv(space_sweep).encode()).hexdigest()
+    assert digest == ref["render_csv_sha256"]
 
 
 def test_criterion_02_space_vs_map():

@@ -189,7 +189,10 @@ def test_lambda_witness_is_valid():
 
 def test_level_scans_and_line_degrees_are_shared_per_space(monkeypatch):
     sp = space_from_graph(cycle_graph(5), 3)
+    assert "_row_table" not in vars(sp)  # built on first use, not with the space
     kappa_space(sp)
+    table = sp._row_table
+    assert not table.flags.writeable
     calls = []
     rank_batched = altspace.rank_batched
 
@@ -204,6 +207,8 @@ def test_level_scans_and_line_degrees_are_shared_per_space(monkeypatch):
     r1, r2 = altspace._dim_scan(sp, 1)
     assert not r1.flags.writeable and not r2.flags.writeable
     monkeypatch.undo()
+    lambda_space(sp)
+    assert sp._row_table is table  # one row table per space object
 
     # the answers and witnesses do not depend on the order of the queries
     queries = {"kappa": kappa_space, "lambda": lambda_space, "delta": delta_space}
@@ -218,6 +223,96 @@ def test_level_scans_and_line_degrees_are_shared_per_space(monkeypatch):
     a = answers(("kappa", "lambda", "delta"))
     assert a == answers(("delta", "lambda", "kappa"))
     assert (a["kappa"][0], a["lambda"].value, a["delta"][0]) == (2, 2, 2)
+
+
+def _chunked(count, build, step=4096):
+    return np.concatenate([build(lo, min(lo + step, count)) for lo in range(0, count, step)], axis=-1)
+
+
+def _einsum_dim_scan(space, b):
+    """Reference: the level-b scan with its stacks built by int64 einsums."""
+    n, q, m = space.n, space.q, space.dim
+    Us = gf.subspace_matrices(n, b, q)
+
+    def ranks(lo, hi):
+        M = np.einsum("ubi,kij->ubkj", Us[lo:hi], space.tensor).reshape(hi - lo, b * m, n) % q
+        return gf.rank_batched(M, q), gf.rank_batched(np.einsum("urj,ucj->urc", M, Us[lo:hi]), q)
+
+    return tuple(_chunked(len(Us), lambda lo, hi: np.stack(ranks(lo, hi))))
+
+
+def _einsum_level_bounds(space, b, best):
+    """Reference: _level_bounds with einsum stacks and degrees found by line code."""
+    n, q, m = space.n, space.q, space.dim
+    Us = gf.subspace_matrices(n, b, q)
+    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    line_codes = gf.projective_lines(n, q) @ powers
+    order = np.argsort(line_codes)
+    degs = _einsum_dim_scan(space, 1)[0]
+    lines_u = np.einsum("cb,ubn->ucn", gf.projective_lines(b, q), Us) % q
+    pos = order[np.searchsorted(line_codes[order], lines_u @ powers)]
+    bound = degs[pos].max(axis=1) - (b - 1)
+    if m:
+        flats = _chunked(len(Us), lambda lo, hi: gf.rank_batched(
+            np.einsum("ubi,kij->ukbj", Us[lo:hi], space.tensor).reshape(hi - lo, m, b * n),
+            q, cap=best + b * (b - 1)))
+        bound = np.maximum(bound, flats - b * (b - 1))
+    return bound
+
+
+def _einsum_cut_ranks(space, u_rows, cap):
+    q, m = space.q, space.dim
+    P = np.einsum("kij,bi->kbj", space.tensor, u_rows) % q
+    Vs = gf.complement_matrices(u_rows, q)
+    return gf.rank_batched(np.einsum("kbj,vcj->vkbc", P, Vs).reshape(len(Vs), m, -1), q, cap=cap)
+
+
+def _stack_cases():
+    for q in (3, 5, 7):
+        for n in range(1, 6):
+            ms = range(n * (n - 1) // 2 + 1)
+            # n = 5 at q = 5, 7 (2801 lines, up to 140050 planes) keeps a few m for time
+            yield from ((n, m, q) for m in (ms[::5] if n == 5 and q > 3 else ms))
+    for q in (79, 191, 251):  # q = 191, 251 run in int32
+        for n in (2, 3):
+            for m in range(n * (n - 1) // 2 + 1):
+                yield n, m, q
+
+
+@pytest.mark.parametrize("n, m, q", list(_stack_cases()))
+def test_gathered_stacks_equal_the_einsum_stacks(n, m, q):
+    sp = random_alt_space(n, m, q, np.random.default_rng(1000 * n + 10 * m + q))
+    for b in range(1, n // 2 + 1):
+        r1, r2 = altspace._dim_scan(sp, b)
+        ref1, ref2 = _einsum_dim_scan(sp, b)
+        assert np.array_equal(r1, ref1) and np.array_equal(r2, ref2), b
+        best = max(1, m // 2)
+        assert np.array_equal(altspace._level_bounds(sp, b, best), _einsum_level_bounds(sp, b, best)), b
+        if m:  # lambda_space never reaches the cut ranks at m = 0
+            Us = gf.subspace_matrices(n, b, q)
+            for i, cap in ((0, m), (len(Us) // 2, best), (len(Us) - 1, 1)):
+                u_rows = np.array(Us[i])
+                got = altspace._cut_ranks_for_u(sp, u_rows, cap=cap)
+                assert np.array_equal(got, _einsum_cut_ranks(sp, u_rows, cap)), (b, i, cap)
+
+
+def test_row_table_width_is_safe_up_to_max_q():
+    # the table dtype is the rank kernel's width for n columns
+    assert gf._work_dtype(73, 6) == np.int16
+    assert gf._work_dtype(79, 6) == np.int32
+    assert gf._work_dtype(gf.MAX_Q, 6) == np.int32
+    for n, q in ((6, 3), (3, 73), (3, 79), (2, 191), (2, gf.MAX_Q)):
+        sp = random_alt_space(n, 1, q, np.random.default_rng(q))
+        assert sp._row_table.dtype == gf._work_dtype(q, n)
+        assert sp._row_table.shape == ((q**n - 1) // (q - 1), 1, n)
+    # the widest product the scans form: all-(q-1) rows times all-(q-1) vectors
+    for q in [p for p in range(3, gf.MAX_Q + 1) if gf.is_prime(p)]:
+        for n in range(1, gf.GUARD_N + 1):
+            dt = gf._work_dtype(q, n)
+            rows = np.full((2, 3, n), q - 1, dtype=dt)
+            vecs = np.full((2, n, 4), q - 1, dtype=dt)
+            wide = rows.astype(np.int64) @ vecs.astype(np.int64)
+            assert np.array_equal(rows @ vecs, wide), (q, n)  # no wrap, so equal mod q too
 
 
 def test_lambda_matches_oracle_random():
@@ -389,7 +484,24 @@ def test_kappa_gt_lambda_instance_s2_t3():
     flag, _ = is_fully_connected(sp)
     assert flag
     assert kappa_space(sp)[0] == 4
-    assert lambda_space(sp).value <= 3
+    res = lambda_space(sp)
+    e = np.eye(5, dtype=np.int64)
+    assert res.value == 3
+    assert res.U == gf.Subspace.from_vectors(e[:2], 5, 3)
+    assert res.V == gf.Subspace.from_vectors(e[2:], 5, 3)
+
+
+def test_kappa_gt_lambda_instance_s2_t4():
+    sp = kappa_gt_lambda_instance(2, 4, 3)
+    assert sp.n == 6
+    assert is_fully_connected(sp)[0]
+    assert kappa_space(sp)[0] == 5
+    res = lambda_space(sp)
+    e = np.eye(6, dtype=np.int64)
+    assert res.value == 4
+    assert res.U == gf.Subspace.from_vectors(e[:2], 6, 3)
+    assert res.V == gf.Subspace.from_vectors(e[2:], 6, 3)
+    assert cut_dim(sp, res.U, res.V) == 4
 
 
 def test_kappa_gt_lambda_instance_s3_t3_gap_of_two(monkeypatch):
