@@ -2,9 +2,12 @@
 """Time blt.gf.rank_batched on fixed stack shapes and print the result as JSON.
 
 Each row is one (B, r, c) stack of seeded uniform residues mod q, ranked
---repeats times; the row reports the median wall time.  The first shape is
-the level-3 keep-mask stack of K6 (33880 subspaces, 15 x 18, cap 11); the
-next five are the per-layer shapes of the roadmap.  The last two are the
+--repeats times; the row reports the median wall time.  The first two shapes
+are full chunks of the level scans of K6 (m = 15) at b = 3 under the scan
+budget altspace._CHUNK = 2^18 entries: the _level_bounds stack (970
+subspaces, 15 x 18, cap 11 at best 5) and the _dim_scan stack M_U (970
+subspaces, 45 x 6).  The next five are the per-layer shapes of the roadmap.
+The last two are the
 self-adjoint constraint stacks of the literal oracles
 (altspace.first_decomposable) for a whole level at w = 4: the 1210 quotients
 by 2-dim X of a 5-dim codomain at q = 3 (3 generators x 10 rows, 16
@@ -28,7 +31,8 @@ from blt import gf
 
 # (B, r, c, q, cap)
 SHAPES = (
-    (33880, 15, 18, 3, 11),
+    (970, 15, 18, 3, 11),
+    (970, 45, 6, 3, None),
     (20000, 45, 6, 3, None),
     (100000, 12, 4, 3, None),
     (2000, 8, 8, 251, None),

@@ -44,7 +44,13 @@ by kappa, lambda, delta and decomposability.  So is the row table: the rows
 l^t A_k of every line representative l, built on first use in the narrow
 integer width of gf._work_dtype.  Every RREF row is a line representative,
 so the scans gather their stacks from the table (_dim_scan, _level_bounds,
-_cut_ranks_for_u) and multiply them by subspace bases in that width.
+_cut_ranks_for_u) and multiply them by subspace bases in that width.  One
+budget, _CHUNK, sets how many entries a gathered stack holds; each scan
+sizes its steps from it and ranks a chunk with one rank_batched call.
+
+A query pays only for what it returns: kappa_space stops at the first level
+that reaches 0 and reads its witness W = U + U^perp off one elimination, and
+LambdaResult builds its vanishing subspace on first read.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from .gf import GuardExceeded  # noqa: F401  (re-exported; defined with the budg
 from .gf import Subspace, check_guard, field, rank_batched, subspace_matrices
 from .graphs import Graph
 
-_CHUNK = 4096
+_CHUNK = 2**18  # entries in one gathered stack of the level scans (_dim_scan, _level_bounds, _cut_ranks_for_u)
 _ADJOINT_CHUNK = 2**15  # int64 entries in one chunk of first_decomposable's constraint rows
 _FULLCONN_CELLS = 2**20  # pair cells in one row block of is_fully_connected
 
@@ -188,10 +194,22 @@ class OrthWitness:
 
 @dataclass(frozen=True)
 class LambdaResult:
+    """lambda of a space and its witness split F^n = U + V.
+
+    vanishing, the codimension-lambda subspace of the space whose members
+    vanish across (U, V) and so decompose via the split, is built from the
+    kept space on first read; a caller that needs only the value never
+    builds it.
+    """
+
     value: int
     U: Optional[Subspace]
     V: Optional[Subspace]
-    vanishing: AltMatrixSpace  # the codim-lambda subspace that decomposes via (U, V)
+    space: AltMatrixSpace
+
+    @cached_property
+    def vanishing(self) -> AltMatrixSpace:
+        return _cut_kernel(self.space, self.U, self.V)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +223,13 @@ def space_from_graph(g: Graph, q: int) -> AltMatrixSpace:
     so dim = number of edges.
     """
     field(q)
-    mats = []
+    basis = []
     for i, j in g.sorted_edges():
-        A = np.zeros((g.n, g.n), dtype=np.int64)
-        A[i, j] = 1
-        A[j, i] = q - 1
-        mats.append(A)
-    return AltMatrixSpace.from_matrices(np.array(mats), g.n, q)
+        A = [[0] * g.n for _ in range(g.n)]
+        A[i][j] = 1
+        A[j][i] = q - 1
+        basis.append(tuple(map(tuple, A)))
+    return AltMatrixSpace(g.n, q, tuple(basis))
 
 
 def elementary_alt(n: int, i: int, j: int, q: int) -> np.ndarray:
@@ -253,7 +271,7 @@ def _dim_scan(space: AltMatrixSpace, b: int):
     N = len(Us)
     r1 = np.zeros(N, dtype=np.int64)
     r2 = np.zeros(N, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, b * max(m, 1)))
+    step = max(1, _CHUNK // max(1, b * m * n))
     for lo in range(0, N, step):
         idx = rows[lo : lo + step]
         M = T[idx].reshape(len(idx), b * m, n)
@@ -275,14 +293,19 @@ def _line_degrees(space: AltMatrixSpace) -> np.ndarray:
     return _dim_scan(space, 1)[0]
 
 
+def _perp_basis(space: AltMatrixSpace, u_rows: np.ndarray) -> np.ndarray:
+    """Canonical basis of U^perp = ker M_U for the rows u_rows spanning U."""
+    M = np.einsum("bi,kij->bkj", u_rows, space.tensor).reshape(-1, space.n) % space.q
+    return gf.nullspace(M, space.q)
+
+
 def _orth_witness_from_u(space: AltMatrixSpace, u_rows: np.ndarray) -> OrthWitness:
-    n, q, m = space.n, space.q, space.dim
+    n, q = space.n, space.q
     U = Subspace.from_vectors(u_rows, n, q)
-    if m == 0:
+    if space.dim == 0:
         V = U.complement_in()
         return OrthWitness(U, V)
-    M = np.einsum("bi,kij->bkj", U.mat(), space.tensor).reshape(U.dim * m, n) % q
-    perp = Subspace.from_vectors(gf.nullspace(M, q), n, q)
+    perp = Subspace.from_vectors(_perp_basis(space, U.mat()), n, q)
     core = U.intersect(perp)
     V = core.complement_in(perp)
     return OrthWitness(U, V)
@@ -432,13 +455,22 @@ def first_restriction(A: np.ndarray, n: int, q: int, exact: Callable[[Subspace],
 
 
 def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Subspace]:
-    """(kappa, W): smallest c with a decomposable restriction, dim W = n - c."""
+    """(kappa, W): smallest c with a decomposable restriction, dim W = n - c.
+
+    The levels b are scanned in ascending order and the first U of the
+    smallest c is kept; the scan stops once c reaches 0, since no later
+    level can go lower.  The restriction to W = U + U^perp decomposes along
+    U and a complement of U cap U^perp in U^perp, so W is the RREF of the
+    rows of U stacked on a basis of U^perp: one nullspace and one rref.
+    """
     n, q = space.n, space.q
     check_guard("n", n, gf.GUARD_N, force)
     _check_lines_guard(space, force)
     best = n - 1
     best_u: Optional[np.ndarray] = None
     for b in range(1, n // 2 + 1):
+        if best == 0:
+            break
         r1, r2 = _dim_scan(space, b)
         c = r1 - r2
         valid = (n - r1) > (b - r2)  # ker M_U not inside U, so the split is nontrivial
@@ -451,8 +483,7 @@ def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Sub
         # degenerate route only: restriction to a line is the zero space
         W = Subspace.from_vectors(np.array(subspace_matrices(n, 1, q)[0]), n, q)
         return n - 1, W
-    witness = _orth_witness_from_u(space, best_u)
-    W = witness.U.sum_with(witness.V)
+    W = Subspace.from_vectors(np.vstack([best_u, _perp_basis(space, best_u)]), n, q)
     if W.dim != n - best:
         raise AssertionError("the kappa witness must have dimension n - kappa")
     return best, W
@@ -522,7 +553,7 @@ def _cut_ranks_for_u(space: AltMatrixSpace, u_rows: np.ndarray, cap: int):
     Vs = gf.complement_matrices(u_rows, q)
     NV = len(Vs)
     out = np.zeros(NV, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, m))
+    step = max(1, _CHUNK // max(1, m * b * (n - b)))
     for lo in range(0, NV, step):
         chunk = Vs[lo : lo + step]
         cuts = (P @ chunk.transpose(0, 2, 1).astype(T.dtype)).reshape(len(chunk), m, -1)
@@ -541,17 +572,23 @@ def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
     Both are independent of the choice of V; the bound of U is the larger.
     The degrees of the lines in U are read from the line degrees at the
     cached gf.subspace_lines, and the (m, b n) stacks B_U A are gathered
-    from the row table.  The rank in the second is capped at best + b(b-1),
-    which only lowers it, so a capped bound is still a lower bound, and it
-    reaches best exactly when the uncapped one does.
+    from the row table, _CHUNK entries at a time.  The rank in the second
+    is capped at best + b(b-1), which only lowers it, so a capped bound is
+    still a lower bound, and it reaches best exactly when the uncapped one
+    does.
     """
     n, q, m = space.n, space.q, space.dim
     max_deg = _line_degrees(space)[gf.subspace_lines(n, b, q)].max(axis=1)
     bound = max_deg - (b - 1)
     if m:
+        T = space._row_table
         rows = gf.subspace_row_lines(n, b, q)
-        flats = space._row_table[rows].transpose(0, 2, 1, 3).reshape(len(rows), m, b * n)
-        r_flat = rank_batched(flats, q, cap=best + b * (b - 1))
+        r_flat = np.zeros(len(rows), dtype=np.int64)
+        step = max(1, _CHUNK // (m * b * n))
+        for lo in range(0, len(rows), step):
+            idx = rows[lo : lo + step]
+            flats = T[idx].transpose(0, 2, 1, 3).reshape(len(idx), m, b * n)
+            r_flat[lo : lo + step] = rank_batched(flats, q, cap=best + b * (b - 1))
         bound = np.maximum(bound, r_flat - b * (b - 1))
     return bound
 
@@ -612,7 +649,7 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
                 break
     U = Subspace.from_vectors(u_rows, n, q)
     V = Subspace.from_vectors(v_rows, n, q)
-    return LambdaResult(best, U, V, _cut_kernel(space, U, V))
+    return LambdaResult(best, U, V, space)
 
 
 def _cut_kernel(space: AltMatrixSpace, U: Subspace, V: Subspace) -> AltMatrixSpace:

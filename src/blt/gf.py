@@ -263,23 +263,25 @@ class Subspace:
         return Subspace.from_vectors(right[zero_left], self.n, self.q)
 
     def complement_in(self, superspace: Optional["Subspace"] = None) -> "Subspace":
-        """Deterministic complement C with self + C = superspace (direct)."""
+        """Deterministic complement C with self + C = superspace (direct).
+
+        C is spanned by the greedy picks: superspace row i is picked when it
+        raises the rank of self plus the superspace rows before it.  That
+        holds exactly when column d + i (d = self.dim) of the transposed
+        stack [self; superspace]^t is not in the span of the columns before
+        it, i.e. is a pivot column of its RREF, so one elimination gives
+        every pick.  The picks are rows of an RREF basis, hence already the
+        canonical basis of C.
+        """
         if superspace is None:
             superspace = Subspace.full(self.n, self.q)
         self._check_compatible(superspace)
-        if not superspace.contains_space(self):
+        stack = np.vstack([self.mat(), superspace.mat()])
+        _, r, pivots = rref(stack.T, self.q)
+        if r != superspace.dim:
             raise ValueError("complement_in requires self <= superspace")
-        picked = []
-        cur = self.mat()
-        r = self.dim
-        for w in superspace.mat():
-            cand = np.vstack([cur, w[None, :]])
-            rr = rank_gf(cand, self.q)
-            if rr > r:
-                picked.append(w)
-                cur = cand
-                r = rr
-        return Subspace.from_vectors(np.array(picked).reshape(len(picked), self.n), self.n, self.q)
+        picks = [p - self.dim for p in pivots if p >= self.dim]
+        return Subspace(self.n, self.q, tuple(superspace.rows[i] for i in picks))
 
     def _check_compatible(self, other: "Subspace"):
         if self.n != other.n or self.q != other.q:

@@ -315,6 +315,80 @@ def test_row_table_width_is_safe_up_to_max_q():
             assert np.array_equal(rows @ vecs, wide), (q, n)  # no wrap, so equal mod q too
 
 
+def _scan_answers(sp):
+    """Every level-scan output and both solvers' answers, on a fresh copy of sp."""
+    sp = AltMatrixSpace(sp.n, sp.q, sp.basis)  # scans are cached per object
+    n, q, m = sp.n, sp.q, sp.dim
+    out = []
+    for b in range(1, n // 2 + 1):
+        out.append([r.tolist() for r in altspace._dim_scan(sp, b)])
+        out.append(altspace._level_bounds(sp, b, max(1, m // 2)).tolist())
+        if m:
+            Us = gf.subspace_matrices(n, b, q)
+            for i in (0, len(Us) // 2, len(Us) - 1):
+                out.append(altspace._cut_ranks_for_u(sp, np.array(Us[i]), cap=m).tolist())
+    res = lambda_space(sp)
+    out.append((kappa_space(sp), res.value, res.U, res.V, res.vanishing))
+    return out
+
+
+def _chunk_spaces():
+    # A budget of 1 entry ranks every subspace and every complement on its own:
+    # n = 5 at q = 5 (20306 planes) is left out, and this seed keeps the lambda
+    # scans short (a few seconds in all) while one space has kappa > lambda.
+    rng = np.random.default_rng(29)
+    for n, q in ((2, 3), (3, 3), (4, 3), (5, 3), (5, 3), (3, 5), (4, 5), (4, 5)):
+        yield random_alt_space(n, int(rng.integers(0, n * (n - 1) // 2 + 1)), q, rng)
+
+
+@pytest.mark.parametrize("chunk", [1, 97])
+def test_chunk_boundaries_move_nothing(monkeypatch, chunk):
+    spaces = list(_chunk_spaces())
+    want = [_scan_answers(sp) for sp in spaces]
+    monkeypatch.setattr(altspace, "_CHUNK", chunk)
+    assert [_scan_answers(sp) for sp in spaces] == want
+
+
+def test_chunk_boundaries_move_nothing_at_n6(monkeypatch):
+    # budgets of 1 or 97 entries rank the 33880 solids of F_3^6 one by one (about
+    # 20 s a budget), so n = 6 moves the boundaries with an odd budget instead
+    sp = space_from_graph(Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]), 3)  # K3,3
+    want = _scan_answers(sp)
+    monkeypatch.setattr(altspace, "_CHUNK", 4097)
+    assert _scan_answers(sp) == want
+
+
+def test_space_from_graph_is_the_canonical_basis():
+    for q in (3, 5):
+        for n in range(2, 6):
+            for g in all_labeled_graphs(n):
+                mats = [elementary_alt(n, i, j, q) for i, j in g.sorted_edges()]
+                assert space_from_graph(g, q) == AltMatrixSpace.from_matrices(np.array(mats), n, q), (q, g)
+
+
+def test_kappa_stops_at_zero():
+    # an isolated vertex gives kappa 0 at level 1; level 2 is never scanned
+    sp = space_from_graph(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]), 3)
+    value, W = kappa_space(sp)
+    assert value == 0 and W.dim == 5
+    assert list(sp._scans) == [1]
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), disjoint_union(path_graph(2), path_graph(3))], ids=["C5", "P2+P3"])
+def test_lambda_builds_vanishing_on_demand(monkeypatch, g):
+    sp = space_from_graph(g, 3)
+
+    def refuse(*args):
+        raise AssertionError("lambda_space built the vanishing subspace")
+
+    monkeypatch.setattr(altspace, "_cut_kernel", refuse)
+    res = lambda_space(sp)
+    monkeypatch.undo()
+    assert res.vanishing == altspace._cut_kernel(sp, res.U, res.V)
+    assert res.vanishing.dim == sp.dim - res.value
+    assert res.vanishing is res.vanishing  # built once
+
+
 def test_lambda_matches_oracle_random():
     rng = np.random.default_rng(11)
     for _ in range(30):

@@ -113,6 +113,48 @@ def test_complement_in_direct_sum():
     assert L.sum_with(C).dim == 2
 
 
+def _greedy_complement(S, sup):
+    """Reference: pick each row of sup that raises the rank of S plus the rows before it."""
+    if sup is None:
+        sup = gf.Subspace.full(S.n, S.q)
+    picked, cur, r = [], S.mat(), S.dim
+    for w in sup.mat():
+        cand = np.vstack([cur, w[None, :]])
+        rr = gf.rank_gf(cand, S.q)
+        if rr > r:
+            picked.append(w)
+            cur, r = cand, rr
+    return gf.Subspace.from_vectors(np.array(picked).reshape(len(picked), S.n), S.n, S.q)
+
+
+def _complement_cases():
+    rng = np.random.default_rng(23)
+    for q in (3, 5, 251):
+        for n in range(1, 7):
+            for _ in range(12):
+                k = int(rng.integers(0, n + 1))
+                sup = gf.Subspace.from_vectors(rng.integers(0, q, size=(k, n)), n, q)
+                d = int(rng.integers(0, sup.dim + 1))
+                S = gf.Subspace.from_vectors(rng.integers(0, q, size=(d, sup.dim)) @ sup.mat(), n, q)
+                yield S, sup
+                yield S, None
+            full = gf.Subspace.full(n, q)
+            yield gf.Subspace.zero(n, q), full  # self = 0
+            yield gf.Subspace.zero(n, q), None
+            yield full, full  # self = superspace
+            yield sup, sup
+
+
+def test_complement_in_matches_the_greedy_definition():
+    for S, sup in _complement_cases():
+        C = S.complement_in(sup)
+        assert C == _greedy_complement(S, sup), (S.rows, sup)
+        target = gf.Subspace.full(S.n, S.q) if sup is None else sup
+        assert S.sum_with(C) == target and S.intersect(C).dim == 0
+    with pytest.raises(ValueError):
+        gf.Subspace.line([1, 0], 3).complement_in(gf.Subspace.line([0, 1], 3))
+
+
 @pytest.mark.parametrize("q", [3, 5])
 def test_complement_matrices_all_complements(q):
     u = np.array([[1, 0, 0]])
