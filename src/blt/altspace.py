@@ -48,6 +48,13 @@ _cut_ranks_for_u) and multiply them by subspace bases in that width.  One
 budget, _CHUNK, sets how many entries a gathered stack holds; each scan
 sizes its steps from it and ranks a chunk with one rank_batched call.
 
+The level scan of _dim_scan gives each U two ranks, r1 = rank(M_U) and
+r2 = b - dim(U cap U^perp), and ranks M_U B_U^t only where neither b = 1
+(r2 = 0) nor r1 = n (r2 = b) forces r2.  lambda's filter reads r2 too: for
+every complement V, cut(U, V) >= dim{B_U A} - r2(r2-1)/2 (the proof is in
+_level_bounds), so lambda_space ranks the cuts of a U's complements
+(_cut_ranks_for_u) only where no bound reaches the current best.
+
 A query pays only for what it returns: kappa_space stops at the first level
 that reaches 0 and reads its witness W = U + U^perp off one elimination, and
 LambdaResult builds its vanishing subspace on first read.
@@ -255,29 +262,36 @@ def restrict(space: AltMatrixSpace, W: Subspace) -> AltMatrixSpace:
 
 
 def _dim_scan(space: AltMatrixSpace, b: int):
-    """For every b-dim U (canonical order): rank(M_U) and rank(M_U B_U^t).
+    """For every b-dim U (canonical order): r1 = rank(M_U), r2 = rank(M_U B_U^t).
 
-    M_U stacks the rows u_i^t A_k; its kernel is U^perp.  The stacks are
-    gathered from the row table at the line indices of the RREF rows of U,
-    and M_U B_U^t is one matmul in the table dtype.  Returns (r1, r2),
+    M_U stacks the rows u_i^t A_k; its kernel is U^perp, so
+    r2 = b - dim(U cap U^perp).  Two cases force r2 without an elimination:
+    at b = 1, u^t A u = 0 gives r2 = 0, and where r1 = n, U^perp = 0 gives
+    r2 = b.  So r1 is ranked for the whole level first, and M_U B_U^t is
+    ranked only for the U with r1 < n at b >= 2.  The stacks are gathered
+    from the row table at the line indices of the RREF rows of U, and
+    M_U B_U^t is one matmul in the table dtype.  Returns (r1, r2),
     read-only and computed once per space object.
     """
     if b in space._scans:
         return space._scans[b]
     n, q, m = space.n, space.q, space.dim
     T = space._row_table
-    Us = subspace_matrices(n, b, q)
     rows = gf.subspace_row_lines(n, b, q)
-    N = len(Us)
+    N = len(rows)
     r1 = np.zeros(N, dtype=np.int64)
-    r2 = np.zeros(N, dtype=np.int64)
     step = max(1, _CHUNK // max(1, b * m * n))
     for lo in range(0, N, step):
         idx = rows[lo : lo + step]
-        M = T[idx].reshape(len(idx), b * m, n)
-        r1[lo : lo + step] = rank_batched(M, q)
-        MBt = M @ Us[lo : lo + step].transpose(0, 2, 1).astype(T.dtype)
-        r2[lo : lo + step] = rank_batched(MBt, q)
+        r1[lo : lo + step] = rank_batched(T[idx].reshape(len(idx), b * m, n), q)
+    r2 = np.where(r1 == n, b, 0)
+    if b >= 2:
+        Us = subspace_matrices(n, b, q)
+        open_u = np.flatnonzero(r1 < n)
+        for lo in range(0, len(open_u), step):
+            sel = open_u[lo : lo + step]
+            M = T[rows[sel]].reshape(len(sel), b * m, n)
+            r2[sel] = rank_batched(M @ Us[sel].transpose(0, 2, 1).astype(T.dtype), q)
     r1.setflags(write=False)
     r2.setflags(write=False)
     space._scans[b] = r1, r2
@@ -568,28 +582,35 @@ def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
     - a single row u^t A restricted to V loses at most dim(Vperp n uperp) =
       b - 1 dimensions (u is outside V, so Vperp is not inside uperp), hence
       cut >= deg(u) - (b - 1) for every line u in U;
-    - summing the same loss over a basis of U, cut >= dim{B_U A} - b(b-1).
+    - cut >= dim{B_U A} - r2(r2-1)/2, with r2 = b - dim(U cap U^perp) from
+      _dim_scan.  Proof: with B = [B_U; B_V] invertible, the map
+      B_U A -> B_U A B^t = [B_U A B_U^t | B_U A B_V^t] is injective, so
+      dim{B_U A} <= dim{B_U A B_U^t} + cut(U, V).  The first term counts
+      alternating forms on U that vanish on U cap U^perp, that is forms on
+      a space of dimension r2, so it is at most r2(r2-1)/2.
     Both are independent of the choice of V; the bound of U is the larger.
     The degrees of the lines in U are read from the line degrees at the
     cached gf.subspace_lines, and the (m, b n) stacks B_U A are gathered
     from the row table, _CHUNK entries at a time.  The rank in the second
-    is capped at best + b(b-1), which only lowers it, so a capped bound is
-    still a lower bound, and it reaches best exactly when the uncapped one
-    does.
+    is capped at best + b(b-1)/2, which only lowers it, so a capped bound is
+    still a lower bound, and since r2 <= b it reaches best exactly when the
+    uncapped one does.  lambda_space reads r2 from the scans that
+    is_orth_decomposable has already run at every level.
     """
     n, q, m = space.n, space.q, space.dim
     max_deg = _line_degrees(space)[gf.subspace_lines(n, b, q)].max(axis=1)
     bound = max_deg - (b - 1)
     if m:
         T = space._row_table
+        r2 = _dim_scan(space, b)[1]
         rows = gf.subspace_row_lines(n, b, q)
         r_flat = np.zeros(len(rows), dtype=np.int64)
         step = max(1, _CHUNK // (m * b * n))
         for lo in range(0, len(rows), step):
             idx = rows[lo : lo + step]
             flats = T[idx].transpose(0, 2, 1, 3).reshape(len(idx), m, b * n)
-            r_flat[lo : lo + step] = rank_batched(flats, q, cap=best + b * (b - 1))
-        bound = np.maximum(bound, r_flat - b * (b - 1))
+            r_flat[lo : lo + step] = rank_batched(flats, q, cap=best + b * (b - 1) // 2)
+        bound = np.maximum(bound, r_flat - r2 * (r2 - 1) // 2)
     return bound
 
 
@@ -600,10 +621,13 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     functionals kill u, so restriction to any complement is faithful), hence
     the dim-1 pass contributes exactly delta.  Larger U are scanned with a
     sound lower-bound filter and batched rank computation: _level_bounds
-    gives each U of a level a lower bound on its cut, computed once per
-    level with the best of the level start as cap, and a U is skipped when
-    its bound reaches the current best, so the filter tightens after every
-    strict drop within the level.  Capped bounds stay lower bounds.
+    gives each U of a level a lower bound on its cut, the larger of
+    max deg(u) - (b - 1) over its lines and dim{B_U A} - r2(r2-1)/2 with r2
+    read from the level scan, computed once per level with the best of the
+    level start as cap, and a U is skipped when its bound reaches the
+    current best, so the filter tightens after every strict drop within the
+    level.  Capped bounds stay lower bounds.  Only the kept U reach
+    _cut_ranks_for_u, which ranks the cut of every complement V.
 
     The witness is the first split in canonical order (b ascending, then U in
     subspace_matrices order, then V in complement_matrices order) whose cut

@@ -366,13 +366,17 @@ def line_index(vectors: np.ndarray, q: int) -> np.ndarray:
     (q^n - q^(n-p)) / (q - 1), plus the base-q value of the entries after p.
     """
     v = np.asarray(vectors)
-    n = v.shape[-1]
     piv = (v != 0).argmax(axis=-1)
     if not (np.take_along_axis(v, piv[..., None], axis=-1) == 1).all():
         raise ValueError("line_index expects vectors whose first nonzero entry is 1")
+    return _line_index_at(v, piv, q)
+
+
+def _line_index_at(v: np.ndarray, piv: np.ndarray, q: int) -> np.ndarray:
+    """line_index of line representatives v whose first nonzero entries sit at piv."""
+    n = v.shape[-1]
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    tail = v @ powers - powers[piv]
-    return (q**n - q ** (n - piv)) // (q - 1) + tail
+    return (q**n - q ** (n - piv)) // (q - 1) - powers[piv] + v @ powers
 
 
 @lru_cache(maxsize=None)
@@ -394,10 +398,17 @@ def subspace_lines(n: int, k: int, q: int) -> np.ndarray:
     The lines of subspace i are the combinations projective_lines(k, q) of
     its RREF rows, in that order.  The first nonzero coefficient is 1 and
     meets its row's pivot, where the later rows are 0, so each combination
-    is a line representative.  Cached and read-only; needs k >= 1.
+    is a line representative whose first nonzero entry sits at that pivot.
+    The combinations are one matmul in the width of _work_dtype(q, k),
+    whose bound holds a sum of k products of residues.  Cached and
+    read-only; needs k >= 1.
     """
     combos = projective_lines(k, q)
-    out = line_index(np.einsum("cb,ubn->ucn", combos, subspace_matrices(n, k, q)) % q, q)
+    Us = subspace_matrices(n, k, q)
+    dtype = _work_dtype(q, k)
+    v = _mod(combos.astype(dtype) @ Us.astype(dtype), q)
+    piv = (Us != 0).argmax(axis=2)[:, (combos != 0).argmax(axis=1)]
+    out = _line_index_at(v, piv, q)
     out.setflags(write=False)
     return out
 

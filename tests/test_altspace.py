@@ -229,16 +229,18 @@ def _chunked(count, build, step=4096):
     return np.concatenate([build(lo, min(lo + step, count)) for lo in range(0, count, step)], axis=-1)
 
 
+def _einsum_ranks(space, Us):
+    """Reference: rank(M_U) and rank(M_U B_U^t) of every basis in the (N, b, n) stack Us, by int64 einsums."""
+    q, m = space.q, space.dim
+    N, b, n = Us.shape
+    M = np.einsum("ubi,kij->ubkj", Us, space.tensor).reshape(N, b * m, n) % q
+    return gf.rank_batched(M, q), gf.rank_batched(np.einsum("urj,ucj->urc", M, Us), q)
+
+
 def _einsum_dim_scan(space, b):
     """Reference: the level-b scan with its stacks built by int64 einsums."""
-    n, q, m = space.n, space.q, space.dim
-    Us = gf.subspace_matrices(n, b, q)
-
-    def ranks(lo, hi):
-        M = np.einsum("ubi,kij->ubkj", Us[lo:hi], space.tensor).reshape(hi - lo, b * m, n) % q
-        return gf.rank_batched(M, q), gf.rank_batched(np.einsum("urj,ucj->urc", M, Us[lo:hi]), q)
-
-    return tuple(_chunked(len(Us), lambda lo, hi: np.stack(ranks(lo, hi))))
+    Us = gf.subspace_matrices(space.n, b, space.q)
+    return tuple(_chunked(len(Us), lambda lo, hi: np.stack(_einsum_ranks(space, Us[lo:hi]))))
 
 
 def _einsum_level_bounds(space, b, best):
@@ -253,10 +255,11 @@ def _einsum_level_bounds(space, b, best):
     pos = order[np.searchsorted(line_codes[order], lines_u @ powers)]
     bound = degs[pos].max(axis=1) - (b - 1)
     if m:
+        r2 = _einsum_dim_scan(space, b)[1]
         flats = _chunked(len(Us), lambda lo, hi: gf.rank_batched(
             np.einsum("ubi,kij->ukbj", Us[lo:hi], space.tensor).reshape(hi - lo, m, b * n),
-            q, cap=best + b * (b - 1)))
-        bound = np.maximum(bound, flats - b * (b - 1))
+            q, cap=best + b * (b - 1) // 2))
+        bound = np.maximum(bound, flats - r2 * (r2 - 1) // 2)
     return bound
 
 
@@ -294,6 +297,86 @@ def test_gathered_stacks_equal_the_einsum_stacks(n, m, q):
                 u_rows = np.array(Us[i])
                 got = altspace._cut_ranks_for_u(sp, u_rows, cap=cap)
                 assert np.array_equal(got, _einsum_cut_ranks(sp, u_rows, cap)), (b, i, cap)
+
+
+def _random_bases(n, b, q, count, rng):
+    """(count, b, n) RREF bases of seeded random b-dim subspaces of F_q^n."""
+    out = []
+    while len(out) < count:
+        S = gf.Subspace.from_vectors(rng.integers(0, q, size=(b, n)), n, q)
+        if S.dim == b:
+            out.append(S.mat())
+    return np.array(out)
+
+
+def test_scan_ranks_forced_without_elimination_up_to_max_q():
+    # the two cases where _dim_scan sets r2 without ranking M_U B_U^t, checked
+    # against the einsum reference: r2 = 0 at b = 1, and r2 = b where r1 = n
+    rng = np.random.default_rng(53)
+    forced = 0
+    for q in (3, 5, 7, 79, 191, 251):
+        for n in range(2, 7):
+            sp = random_alt_space(n, int(rng.integers(1, n * (n - 1) // 2 + 1)), q, rng)
+            for b in range(1, n // 2 + 1):
+                r1, r2 = _einsum_ranks(sp, _random_bases(n, b, q, 100, rng))
+                if b == 1:
+                    assert (r2 == 0).all(), (q, n)
+                assert (r2[r1 == n] == b).all(), (q, n, b)
+                forced += int((r1 == n).sum())
+    assert forced > 1000
+
+
+def _bound_spaces():
+    # seeded random spaces with n in {4, 5} (the first with a level b >= 2) at
+    # q = 3 and 5, then every graph on 4 vertices (smaller n have no such level)
+    rng = np.random.default_rng(41)
+    for n, q in ((4, 3), (4, 3), (5, 3), (5, 3), (5, 3), (4, 5), (4, 5), (4, 5), (5, 5), (5, 5)):
+        yield random_alt_space(n, int(rng.integers(0, n * (n - 1) // 2 + 1)), q, rng)
+    for g in all_labeled_graphs(4):
+        yield space_from_graph(g, 3)
+
+
+def _min_cuts_and_flats(space, Us):
+    """Reference: for each basis in Us, the least cut rank over its complements, and dim{B_U A}."""
+    q, m = space.q, space.dim
+    N, b, n = Us.shape
+    NV = q ** (b * (n - b))
+    step = max(1, 2**16 // NV)  # about 2^16 cuts a chunk
+    mins, flats = [], []
+    for lo in range(0, N, step):
+        chunk = Us[lo : lo + step]
+        c = len(chunk)
+        Vt = np.stack([gf.complement_matrices(u, q) for u in chunk]).transpose(0, 3, 1, 2)  # (c, n, NV, n - b)
+        P = np.einsum("ubi,kij->ukbj", chunk, space.tensor)
+        cuts = (P.reshape(c, m * b, n) @ Vt.reshape(c, n, -1)).reshape(c, m, b, NV, n - b)
+        cuts = cuts.transpose(0, 3, 1, 2, 4).reshape(c * NV, m, b * (n - b))
+        mins.append(gf.rank_batched(cuts, q).reshape(c, NV).min(axis=1))
+        flats.append(gf.rank_batched(P.reshape(c, m, b * n), q))
+    return np.concatenate(mins), np.concatenate(flats)
+
+
+def test_level_bounds_are_sound():
+    # every U of every level b >= 2: the bound is at most the least cut over
+    # all complements V, and where r2 = 0 the bound dim{B_U A} is that cut.
+    # Level 2 of F_5^5 (20306 planes of 15625 complements each) takes every 211th U.
+    tight = 0
+    for sp in _bound_spaces():
+        n, q, m = sp.n, sp.q, sp.dim
+        for b in range(2, n // 2 + 1):
+            bound = altspace._level_bounds(sp, b, max(1, m))  # cap m + b(b-1)/2: no rank reaches it
+            r2 = altspace._dim_scan(sp, b)[1]
+            Us = gf.subspace_matrices(n, b, q)
+            sel = np.arange(0, len(Us), 211 if (n, q) == (5, 5) else 1)
+            min_cut, flat = _min_cuts_and_flats(sp, Us[sel])
+            assert (bound[sel] <= min_cut).all(), (n, q, m, b)
+            zero = r2[sel] == 0
+            assert np.array_equal(min_cut[zero], flat[zero]), (n, q, m, b)
+            tight += int(zero.sum())
+            if (n, q) == (5, 3):  # the reference cut rank is cut_dim's
+                U = gf.Subspace.from_vectors(Us[0], n, q)
+                Vs = gf.complement_matrices(Us[0], q)
+                assert min(cut_dim(sp, U, gf.Subspace.from_vectors(V, n, q)) for V in Vs) == min_cut[0]
+    assert tight > 100
 
 
 def test_row_table_width_is_safe_up_to_max_q():
@@ -600,7 +683,43 @@ def test_kappa_gt_lambda_instance_s3_t3_gap_of_two(monkeypatch):
     assert res.U == gf.Subspace.from_vectors(e[:3], 6, 3)
     assert res.V == gf.Subspace.from_vectors(e[3:], 6, 3)
     assert cut_dim(sp, res.U, res.V) == 3
-    assert calls == [(2, 6)] * 26 + [(3, 6)]  # 26 kept U at b = 2, then the first U at b = 3
+    assert calls == [(3, 6)]  # the level bounds keep no U at b = 2, then the first U at b = 3
+
+
+_OCTAHEDRON = Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6) if j != i + 3])  # K2,2,2
+
+
+def _seeded_q5_space():
+    rng = np.random.default_rng(225)
+    n, m = int(rng.integers(2, 6)), int(rng.integers(0, 11))
+    assert (n, m) == (5, 6)
+    return random_alt_space(n, m, 5, rng)
+
+
+@pytest.mark.parametrize(
+    "make, u",
+    [
+        (lambda: space_from_graph(_OCTAHEDRON, 3), [1, 0, 0, 0, 0, 0]),
+        (lambda: random_isometry_image(space_from_graph(_OCTAHEDRON, 3), 1)[0], [1, 0, 0, 1, 0, 2]),
+        (_seeded_q5_space, [1, 0, 0, 0, 0]),
+    ],
+    ids=["octahedron", "octahedron-image", "seed225-q5"],
+)
+def test_level_bounds_prove_lambda_equals_delta_without_complements(monkeypatch, make, u):
+    # lambda = delta = 4 on each: the level bounds reach 4 at every U of every
+    # level b >= 2, so no complement is ranked (64 complement scans on the
+    # octahedron and 806 on the q = 5 space under the flat b(b-1) bound).  The
+    # witness is the first line of degree 4 and its first complement.
+    sp = make()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda_space ranked the complements of a U")
+
+    monkeypatch.setattr(altspace, "_cut_ranks_for_u", refuse)
+    res = lambda_space(sp)
+    assert res.value == 4
+    assert res.U.mat().tolist() == [u]
+    assert res.V.mat().tolist() == np.eye(sp.n, dtype=np.int64)[1:].tolist()
 
 
 def test_isometry_invariance():

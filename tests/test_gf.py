@@ -176,6 +176,27 @@ def test_projective_lines():
     assert len({bytes(v.tobytes()) for v in lines}) == 13
 
 
+def _line_cases():
+    for q in (3, 5):
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                # n = 6 at q = 5 keeps the small levels: the int64 einsum of
+                # 508431 planes (k = 2, 4) or 2558556 solids (k = 3) takes GBs
+                if q == 3 or n < 6 or k in (1, 5, 6):
+                    yield n, k, q
+
+
+@pytest.mark.parametrize("n, k, q", list(_line_cases()))
+def test_subspace_lines_match_the_einsum_lines(n, k, q):
+    L = (q**n - 1) // (q - 1)
+    assert np.array_equal(gf.line_index(gf.projective_lines(n, q), q), np.arange(L))
+    Us = gf.subspace_matrices(n, k, q)
+    ref = gf.line_index(np.einsum("cb,ubn->ucn", gf.projective_lines(k, q), Us) % q, q)
+    got = gf.subspace_lines(n, k, q)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert not got.flags.writeable
+
+
 def test_all_vectors():
     vecs = gf.all_vectors(2, 3)
     assert vecs.shape == (9, 2)

@@ -1,0 +1,32 @@
+"""Smoke tests: the scripts under scripts/ run to completion and print what they promise."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_bench_rank_runs_every_shape():
+    out = _run("scripts/bench_rank.py", "--repeats", "1")
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["repeats"] == 1
+    assert len(payload["rows"]) == 9
+    first = payload["rows"][0]
+    assert (first["shape"], first["q"], first["cap"]) == ([970, 15, 18], 3, 8)  # the _level_bounds cap at b = 3, best 5
+    assert {"cores", "python", "numpy"} <= set(payload["machine"])
+
+
+def test_separation_demo_shows_the_gap_at_every_level():
+    out = _run("scripts/separation_demo.py")
+    assert out.returncode == 0, out.stderr
+    assert "kappa  = 3" in out.stdout and "lambda = 2" in out.stdout
+    assert "kappa > lambda holds in the group" in out.stdout
