@@ -6,7 +6,9 @@ Each row is one (B, r, c) stack of seeded uniform residues mod q, ranked
 are full chunks of the level scans of K6 (m = 15) at b = 3 under the scan
 budget altspace._CHUNK = 2^18 entries: the _level_bounds stack (970
 subspaces, 15 x 18, cap 8 = best + b(b-1)/2 at best 5) and the _dim_scan
-stack M_U (970 subspaces, 45 x 6).  The next five are the per-layer shapes
+r2 stack M_U B_U^t (970 subspaces, 45 x 3), ranked for the U with
+r1 < n; r1 itself comes from altspace's orthogonality bit table, with no
+elimination.  The next five are the per-layer shapes
 of the roadmap.  The last two are the self-adjoint constraint stacks of
 the literal oracles (altspace.first_decomposable) for a whole level at
 w = 4: the 1210 quotients by 2-dim X of a 5-dim codomain at q = 3 (3
@@ -31,7 +33,7 @@ from blt import gf
 # (B, r, c, q, cap)
 SHAPES = (
     (970, 15, 18, 3, 8),
-    (970, 45, 6, 3, None),
+    (970, 45, 3, 3, None),
     (20000, 45, 6, 3, None),
     (100000, 12, 4, 3, None),
     (2000, 8, 8, 251, None),

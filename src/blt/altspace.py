@@ -48,9 +48,14 @@ _cut_ranks_for_u) and multiply them by subspace bases in that width.  One
 budget, _CHUNK, sets how many entries a gathered stack holds; each scan
 sizes its steps from it and ranks a chunk with one rank_batched call.
 
-The level scan of _dim_scan gives each U two ranks, r1 = rank(M_U) and
-r2 = b - dim(U cap U^perp), and ranks M_U B_U^t only where neither b = 1
-(r2 = 0) nor r1 = n (r2 = b) forces r2.  lambda's filter reads r2 too: for
+The level scan of _dim_scan gives each U two ranks, r1 = rank(M_U) =
+n - dim U^perp and r2 = b - dim(U cap U^perp).  Only level 1 ranks M_U by
+elimination: its r1 are the line degrees.  Every level b >= 2 reads r1 off
+the orthogonality bit table _perp_bits, whose row u holds the lines of
+u^perp: U^perp is the AND of the rows of a basis of U, and its popcount
+(q^d - 1)/(q - 1) gives d = dim U^perp.  r2 is forced at b = 1 (0) and
+where r1 = n (b), is one bit of the table at b = 2, and is ranked from
+M_U B_U^t for the other U at b >= 3.  lambda's filter reads r2 too: for
 every complement V, cut(U, V) >= dim{B_U A} - r2(r2-1)/2 (the proof is in
 _level_bounds), so lambda_space ranks the cuts of a U's complements
 (_cut_ranks_for_u) only where no bound reaches the current best.
@@ -75,7 +80,7 @@ from .gf import GuardExceeded  # noqa: F401  (re-exported; defined with the budg
 from .gf import Subspace, check_guard, field, rank_batched, subspace_matrices
 from .graphs import Graph
 
-_CHUNK = 2**18  # entries in one gathered stack of the level scans (_dim_scan, _level_bounds, _cut_ranks_for_u)
+_CHUNK = 2**18  # entries in one gathered stack or bit-table block of the level scans (_perp_bits, _dim_scan, _level_bounds, _cut_ranks_for_u)
 _ADJOINT_CHUNK = 2**15  # int64 entries in one chunk of first_decomposable's constraint rows
 _FULLCONN_CELLS = 2**20  # pair cells in one row block of is_fully_connected
 
@@ -149,6 +154,43 @@ class AltMatrixSpace:
         t = (np.einsum("li,kij->lkj", lines, self.tensor) % self.q).astype(gf._work_dtype(self.q, self.n))
         t.setflags(write=False)
         return t
+
+    @cached_property
+    def _perp_bits(self) -> np.ndarray:
+        """Read-only (L, 8 ceil(L/64)) uint8 table: row u is the packed bitset
+        (np.packbits order) of the lines x of projective_lines(n, q) with
+        u^t A_k x = 0 for every k, that is of the lines of u^perp.  Rows are
+        padded with clear bits to whole 64-bit words, which _perp_dims counts.
+
+        _dim_scan reads dim U^perp off the AND of the rows of a basis of U.
+        Only a block of the table needs products.  u lies in u^perp, so the
+        diagonal is set.  A line of degree n - 1 has u^perp = <u>, so its row
+        holds the diagonal bit alone, and since u^t A x = -x^t A u its column
+        is empty too.  The rest, the lines of degree < n - 1 against each
+        other, are the products of their row-table entries with their
+        representatives, in the table dtype, whose bound n (q-1)^2 + q holds
+        a row times n residues.  Row blocks of about _CHUNK product entries
+        are packed as they are made.  Built on first use, once per space
+        object: about L^2/8 bytes, 17 KB at n = 6, q = 3.
+        """
+        n, q, m = self.n, self.q, self.dim
+        L = (q**n - 1) // (q - 1)
+        bits = np.zeros((L, -(-L // 64) * 8), dtype=np.uint8)
+        diag = np.arange(L)
+        bits[diag, diag >> 3] = 0x80 >> (diag & 7)
+        open_lines = np.flatnonzero(_line_degrees(self) < n - 1)
+        if open_lines.size:
+            T = self._row_table
+            reps = gf.projective_lines(n, q)[open_lines].T.astype(T.dtype)
+            step = max(1, _CHUNK // max(m * len(open_lines), L))
+            row = np.zeros((min(step, len(open_lines)), bits.shape[1] * 8), dtype=bool)
+            for lo in range(0, len(open_lines), step):
+                idx = open_lines[lo : lo + step]
+                prod = gf._mod(T[idx] @ reps, q)  # (rows, m, open lines)
+                row[: len(idx), open_lines] = ~prod.any(axis=1)
+                bits[idx] = np.packbits(row[: len(idx)], axis=1)
+        bits.setflags(write=False)
+        return bits
 
     def __repr__(self):
         return f"AltMatrixSpace(n={self.n}, q={self.q}, dim={self.dim})"
@@ -264,30 +306,42 @@ def restrict(space: AltMatrixSpace, W: Subspace) -> AltMatrixSpace:
 def _dim_scan(space: AltMatrixSpace, b: int):
     """For every b-dim U (canonical order): r1 = rank(M_U), r2 = rank(M_U B_U^t).
 
-    M_U stacks the rows u_i^t A_k; its kernel is U^perp, so
-    r2 = b - dim(U cap U^perp).  Two cases force r2 without an elimination:
-    at b = 1, u^t A u = 0 gives r2 = 0, and where r1 = n, U^perp = 0 gives
-    r2 = b.  So r1 is ranked for the whole level first, and M_U B_U^t is
-    ranked only for the U with r1 < n at b >= 2.  The stacks are gathered
-    from the row table at the line indices of the RREF rows of U, and
-    M_U B_U^t is one matmul in the table dtype.  Returns (r1, r2),
-    read-only and computed once per space object.
+    M_U stacks the rows u_i^t A_k; its kernel is U^perp, so r1 = n - dim U^perp
+    and r2 = b - dim(U cap U^perp).
+    - b = 1: r1 is ranked from the row table, one rank_batched call per
+      _CHUNK entries, and u^t A u = 0 gives r2 = 0.
+    - b >= 2: U^perp is the AND of the _perp_bits rows of the RREF rows of
+      U, taken _CHUNK bytes at a time; its popcount (q^d - 1)/(q - 1) gives
+      d = dim U^perp.  Where r1 = n, U^perp = 0 gives r2 = b.
+    - b = 2: the rows of M_U B_U^t are (0, g_k) and (-g_k, 0) with
+      g_k = u1^t A_k u2, so r2 = 2 unless u2 lies in u1^perp: one bit.
+    - b >= 3: M_U B_U^t is gathered from the row table, multiplied in the
+      table dtype and ranked for the U with r1 < n only.
+    Returns (r1, r2), read-only and computed once per space object.
     """
     if b in space._scans:
         return space._scans[b]
     n, q, m = space.n, space.q, space.dim
-    T = space._row_table
     rows = gf.subspace_row_lines(n, b, q)
     N = len(rows)
-    r1 = np.zeros(N, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, b * m * n))
-    for lo in range(0, N, step):
-        idx = rows[lo : lo + step]
-        r1[lo : lo + step] = rank_batched(T[idx].reshape(len(idx), b * m, n), q)
-    r2 = np.where(r1 == n, b, 0)
-    if b >= 2:
+    if b == 1:
+        T = space._row_table
+        r1 = np.zeros(N, dtype=np.int64)
+        step = max(1, _CHUNK // max(1, m * n))
+        for lo in range(0, N, step):
+            r1[lo : lo + step] = rank_batched(T[rows[lo : lo + step, 0]], q)
+        r2 = np.zeros(N, dtype=np.int64)
+    elif b == 2:
+        r1 = n - _perp_dims(space, rows)
+        bits, u1, u2 = space._perp_bits, rows[:, 0], rows[:, 1]
+        r2 = 2 - 2 * ((bits[u1, u2 >> 3] >> (7 - (u2 & 7))) & 1).astype(np.int64)
+    else:
+        r1 = n - _perp_dims(space, rows)
+        r2 = np.where(r1 == n, b, 0)
+        T = space._row_table
         Us = subspace_matrices(n, b, q)
         open_u = np.flatnonzero(r1 < n)
+        step = max(1, _CHUNK // max(1, b * m * n))
         for lo in range(0, len(open_u), step):
             sel = open_u[lo : lo + step]
             M = T[rows[sel]].reshape(len(sel), b * m, n)
@@ -298,11 +352,42 @@ def _dim_scan(space: AltMatrixSpace, b: int):
     return r1, r2
 
 
+def _perp_dims(space: AltMatrixSpace, rows: np.ndarray) -> np.ndarray:
+    """dim U^perp for each row of line indices spanning a U, from _perp_bits.
+
+    The bits of each 64-bit word are counted by the classic shift-and-mask
+    sum: np.bitwise_count needs numpy >= 2.0, and a 256-entry byte table
+    took three times as long at n = 7.  A count that is not
+    (q^d - 1)/(q - 1) raises.
+    """
+    n, q = space.n, space.q
+    bits = space._perp_bits
+    dim_of = np.full(bits.shape[1] * 8 + 1, -1)  # lines of a d-dim space -> d, any count -> -1
+    dim_of[(q ** np.arange(n + 1) - 1) // (q - 1)] = np.arange(n + 1)
+    d = np.zeros(len(rows), dtype=np.int64)
+    step = max(1, _CHUNK // bits.shape[1])
+    for lo in range(0, len(rows), step):
+        idx = rows[lo : lo + step]
+        mask = bits[idx[:, 0]]
+        for j in range(1, idx.shape[1]):
+            mask &= bits[idx[:, j]]
+        x = mask.view(np.uint64)
+        x -= (x >> 1) & 0x5555555555555555
+        x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
+        x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
+        d[lo : lo + step] = dim_of[((x * 0x0101010101010101) >> 56).sum(axis=1)]
+    if (d < 0).any():
+        raise AssertionError("an orthogonal space must hold (q^d - 1)/(q - 1) lines")
+    return d
+
+
 def _line_degrees(space: AltMatrixSpace) -> np.ndarray:
     """deg(u) for every line u, in projective_lines order.
 
     For alternating A the row u^t A is -(A u)^t, so deg(u) = rank(M_u): the
-    degrees are the r1 of the level-1 scan.
+    degrees are the r1 of the level-1 scan, the one level ranked by
+    elimination; they also choose the block of _perp_bits that needs
+    products.
     """
     return _dim_scan(space, 1)[0]
 
@@ -479,7 +564,7 @@ def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Sub
     """
     n, q = space.n, space.q
     check_guard("n", n, gf.GUARD_N, force)
-    _check_lines_guard(space, force)
+    _check_scan_guards(space, force)
     best = n - 1
     best_u: Optional[np.ndarray] = None
     for b in range(1, n // 2 + 1):
@@ -544,6 +629,13 @@ def degree_vector(space: AltMatrixSpace, v) -> int:
 def _check_lines_guard(space: AltMatrixSpace, force: bool):
     lines = (space.q**space.n - 1) // (space.q - 1)
     check_guard("lines", lines, gf.LINES_GUARD, force)
+
+
+def _check_scan_guards(space: AltMatrixSpace, force: bool):
+    """The lines guard, then the guard on the largest level the scans walk:
+    [n, b]_q over b <= n/2 peaks at b = n // 2."""
+    _check_lines_guard(space, force)
+    check_guard("subspaces", gf.gaussian_binomial(space.n, space.n // 2, space.q), gf.LEVEL_GUARD, force)
 
 
 def delta_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, np.ndarray]:
@@ -645,7 +737,7 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     if n < 2:
         raise ValueError("lambda needs ambient dimension >= 2")
     check_guard("n", n, gf.GUARD_N, force)
-    _check_lines_guard(space, force)
+    _check_scan_guards(space, force)
     dec, w = is_orth_decomposable(space)
     if dec:
         if w is None:

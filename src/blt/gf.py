@@ -49,6 +49,9 @@ TABLE_GUARD_ORDER = 3**5  # group order: lattice.small_group builds a Cayley tab
 LATTICE_GUARD_ORDER = 3**4  # group order: all_subgroups, literal_kappa, literal_lambda
 SWEEP_MAP_GUARD_M = 4  # m: the sweep's map columns
 LINES_GUARD = 3**8  # lines (q^n - 1)/(q - 1): kappa_space, lambda_space, delta_space, is_fully_connected, VerifyConfig
+# subspaces in the largest level of the scans, [n, b]_q at b = n // 2: kappa_space, lambda_space,
+# VerifyConfig.  Within GUARD_N and LINES_GUARD it refuses only n = 6 at q = 5 (2558556 solids).
+LEVEL_GUARD = 3**11
 MAX_N_CAP = 6  # n: the largest graphs the sweep enumerates
 
 

@@ -17,8 +17,9 @@ and the structured group-level searches only when the group order p^(n+m)
 stays at or below p^GROUP_GUARD_EXP.  force=True lifts both guards but not
 MAX_N_CAP.  All three are gf budget constants; GROUP_GUARD_EXP is also the
 structured group searches' own guard.  A sweep with space columns whose
-largest n has more than LINES_GUARD lines (q^n - 1)/(q - 1) is refused when
-its VerifyConfig is made, unless force=True, rather than failing row by row.
+largest n has more than LINES_GUARD lines (q^n - 1)/(q - 1), or more than
+LEVEL_GUARD subspaces in its largest level [n, n // 2]_q, is refused when its
+VerifyConfig is made, unless force=True, rather than failing row by row.
 
 Reports are deterministic: rows are emitted in graph-id order regardless of
 worker scheduling, and the CSV / JSON renderings contain nothing that varies
@@ -83,9 +84,12 @@ class VerifyConfig:
             raise ValueError(f"unknown level {self.level!r}")
         if self.depth >= 1:
             # the space columns' lambda_space and delta_space scan every line
-            # of F_q^n; refuse the whole sweep before any row runs
+            # of F_q^n, and kappa_space and lambda_space every level up to
+            # b = n // 2; refuse the whole sweep before any row runs
             lines = (self.q**self.max_n - 1) // (self.q - 1)
             gf.check_guard("lines", lines, gf.LINES_GUARD, self.force)
+            level = gf.gaussian_binomial(self.max_n, self.max_n // 2, self.q)
+            gf.check_guard("subspaces", level, gf.LEVEL_GUARD, self.force)
 
     @property
     def depth(self) -> int:

@@ -441,6 +441,108 @@ def test_chunk_boundaries_move_nothing_at_n6(monkeypatch):
     assert _scan_answers(sp) == want
 
 
+def _perp_reference(space):
+    """Reference: the (L, L) bool table of u^t A_k x = 0 for every k, one int64 product per matrix."""
+    lines = gf.projective_lines(space.n, space.q)
+    hit = np.zeros((len(lines), len(lines)), dtype=bool)
+    for A in space.tensor:
+        hit |= (lines @ A @ lines.T) % space.q != 0
+    return ~hit
+
+
+def _perp_cases():
+    # n <= 5 at q = 3, 5, 7 and n = 6 at q = 3; n = 2 at the int32 widths and
+    # n = 3 at q = 31 (993 lines); each at m = 0, a seeded m and the full m
+    small = [(n, q) for q in (3, 5, 7) for n in range(1, 6)] + [(6, 3), (2, 79), (2, 191), (2, 251), (3, 31)]
+    for n, q in small:
+        full = n * (n - 1) // 2
+        for m in sorted({0, (7 * n + q) % (full + 1), full}):
+            yield n, m, q
+
+
+@pytest.mark.parametrize("n, m, q", list(_perp_cases()))
+def test_perp_bits_equal_the_product_table(n, m, q):
+    sp = random_alt_space(n, m, q, np.random.default_rng(100 * n + m + q))
+    L = (q**n - 1) // (q - 1)
+    bits = sp._perp_bits
+    assert bits.dtype == np.uint8 and bits.shape == (L, -(-L // 64) * 8)
+    table = np.unpackbits(bits, axis=1)[:, :L].astype(bool)
+    assert not np.unpackbits(bits, axis=1)[:, L:].any()  # the padding stays clear
+    assert np.array_equal(table, _perp_reference(sp))
+    assert np.array_equal(table, table.T) and table.diagonal().all()
+    deg = altspace._line_degrees(sp)
+    assert (table[deg == n - 1].sum(axis=1) == 1).all()
+    assert np.array_equal(table.sum(axis=1), (q ** (n - deg) - 1) // (q - 1))
+
+
+def test_perp_dims_refuse_a_count_that_is_no_subspace():
+    sp = space_from_graph(cycle_graph(4), 3)  # 40 lines
+    table = np.zeros((40, 64), dtype=bool)
+    table[:, 1:40] = True  # every row misses line 0: each AND holds 39 lines, no (3^d - 1)/2
+    bits = np.packbits(table, axis=1)
+    vars(sp)["_perp_bits"] = bits
+    with pytest.raises(AssertionError, match="lines"):
+        altspace._dim_scan(sp, 2)
+
+
+def test_perp_bits_are_read_only_and_built_once():
+    sp = space_from_graph(cycle_graph(6), 3)
+    assert "_perp_bits" not in vars(sp)  # built on first use, not with the space
+    delta_space(sp)
+    assert "_perp_bits" not in vars(sp)  # level 1 does not use it
+    kappa_space(sp)
+    bits = sp._perp_bits
+    assert not bits.flags.writeable
+    with pytest.raises(ValueError):
+        bits[0, 0] = 0
+    lambda_space(sp)
+    is_orth_decomposable(sp)
+    assert sp._perp_bits is bits
+
+
+def _level_scan_spaces():
+    # isometry images of four graph spaces on 6 vertices, C5 at q = 5 and
+    # seeded random spaces, all with a level b >= 2
+    six = [path_graph(6), cycle_graph(6), complete_graph(6),
+           Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])]
+    for g in six:
+        yield random_isometry_image(space_from_graph(g, 3), 7)[0]
+    yield space_from_graph(cycle_graph(5), 5)
+    rng = np.random.default_rng(61)
+    for n, q in ((4, 3), (4, 7), (5, 3), (5, 5), (6, 3), (4, 11)):
+        yield random_alt_space(n, int(rng.integers(0, n * (n - 1) // 2 + 1)), q, rng)
+
+
+def test_levels_past_one_rank_only_the_open_r2_stacks(monkeypatch):
+    # level 1 is the one level ranked by elimination; level 2 reads r1 and r2
+    # off _perp_bits, and level 3 ranks M_U B_U^t for the U with r1 < n only
+    rank_batched = altspace.rank_batched
+    batches = []
+
+    def counting(mats, q, cap=None):
+        batches.append(len(mats))
+        return rank_batched(mats, q, cap=cap)
+
+    monkeypatch.setattr(altspace, "rank_batched", counting)
+    for sp in _level_scan_spaces():
+        altspace._dim_scan(sp, 1)
+        batches.clear()
+        altspace._dim_scan(sp, 2)
+        assert batches == [], sp
+        if sp.n >= 6:
+            r1, _ = altspace._dim_scan(sp, 3)
+            assert sum(batches) == int((r1 < sp.n).sum()), sp
+            if sp.dim == 15:  # the K6 image: every solid has r1 = n
+                assert batches == []
+
+
+def test_lambda_at_n3_never_builds_perp_bits():
+    p3 = space_from_graph(path_graph(3), 83)
+    assert lambda_space(p3, force=True).value == 1
+    assert kappa_space(p3, force=True)[0] == 1
+    assert "_perp_bits" not in vars(p3)  # n <= 3 has no level b >= 2
+
+
 def test_space_from_graph_is_the_canonical_basis():
     for q in (3, 5):
         for n in range(2, 6):
@@ -948,6 +1050,42 @@ def test_lines_guard_lifts_with_force():
     assert lambda_space(p3, force=True).value == 1
     flag, (u, v) = is_fully_connected(LINES_PAST_GUARD, force=True)
     assert not flag and not ((u @ LINES_PAST_GUARD.tensor @ v) % 3).any()
+
+
+# the guard on the largest level, [n, n // 2]_q subspaces: kappa_space and lambda_space
+
+def test_level_guard_admits_every_level_within_the_lines_budget_but_one():
+    refused = []
+    for n in range(2, gf.GUARD_N + 1):
+        for q in [p for p in range(3, gf.MAX_Q + 1) if gf.is_prime(p)]:
+            if (q**n - 1) // (q - 1) <= gf.LINES_GUARD and gf.gaussian_binomial(n, n // 2, q) > gf.LEVEL_GUARD:
+                refused.append((n, q))
+    assert refused == [(6, 5)]
+    assert gf.gaussian_binomial(5, 2, 7) == 140050 and gf.gaussian_binomial(4, 2, 17) == 89030
+
+
+def test_level_guard_refuses_n6_at_q5(monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("the search ran past the guard")
+
+    sp = space_from_graph(path_graph(6), 5)  # 3906 lines pass, 2558556 solids do not
+    monkeypatch.setattr(altspace, "_line_degrees", started)
+    monkeypatch.setattr(altspace, "_dim_scan", started)
+    for solver in (kappa_space, lambda_space):
+        with pytest.raises(GuardExceeded, match="subspaces=2558556.*--force"):
+            solver(sp)
+
+
+def test_level_guard_lifts_with_force_and_admits_n5_at_q7():
+    # an isolated vertex gives kappa = lambda = 0 at level 1, so the forced
+    # n = 6, q = 5 queries stop before the level past the guard
+    sp = space_from_graph(Graph.from_edges(6, [(i, i + 1) for i in range(4)]), 5)  # P5 and vertex 5
+    assert kappa_space(sp, force=True)[0] == 0
+    assert lambda_space(sp, force=True).value == 0
+    assert 2 not in sp._scans
+    # n = 5 at q = 7 (140050 planes) passes both guards
+    sp = space_from_graph(Graph.from_edges(5, [(i, i + 1) for i in range(3)]), 7)  # P4 and vertex 4
+    assert kappa_space(sp)[0] == 0 and lambda_space(sp).value == 0
 
 
 def _fully_connected_reference(space):

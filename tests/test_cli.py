@@ -306,6 +306,29 @@ def test_verify_refuses_a_sweep_past_the_lines_budget(capsys):
     assert "lines=7240" in err and "force" in err
 
 
+def test_verify_refuses_a_sweep_past_the_level_budget(capsys):
+    # n = 6 at q = 5 passes the lines budget, but its level 3 holds 2558556 solids
+    code, out, err = run(capsys, "verify", "--q", "5", "--max-n", "6", "--level", "space", "--threads", "1")
+    assert code == 2
+    assert out == ""
+    assert "subspaces=2558556" in err and "force" in err
+
+
+def test_space_level_guard(tmp_path, capsys, monkeypatch):
+    # P5 and an isolated vertex at q = 5: refused unforced; forced, kappa and
+    # lambda are 0 at level 1 and never reach the solids
+    src = put(tmp_path, "p5k1.edges", "6 4\n1 2\n2 3\n3 4\n4 5\n")
+    for subcmd in ("kappa", "lambda"):
+        code, out, _ = run(capsys, "space", subcmd, src, "--q", "5", "--force")
+        assert code == 0
+        assert json.loads(out)[subcmd] == 0
+    monkeypatch.setattr(altspace, "_dim_scan", _started)
+    for subcmd in ("kappa", "lambda"):
+        code, _, err = run(capsys, "space", subcmd, src, "--q", "5")
+        assert code == 2
+        assert "subspaces=2558556" in err and "force" in err
+
+
 def test_verify_exit_code_flips_on_fail(capsys, monkeypatch):
     # exit-code wiring only; rows here are fabricated, not computed
     cfg = VerifyConfig(max_n=2)

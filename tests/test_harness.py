@@ -41,6 +41,15 @@ def test_config_refuses_a_sweep_past_the_lines_budget():
     assert row["status"] == "PASS" and row["lambda_A"] == 0
 
 
+def test_config_refuses_a_sweep_past_the_level_budget():
+    # n = 6 at q = 5: 3906 lines pass gf.LINES_GUARD, [6, 3]_5 = 2558556 solids do not
+    with pytest.raises(GuardExceeded, match="subspaces=2558556.*force"):
+        VerifyConfig(max_n=6, q=5, level="space")
+    VerifyConfig(max_n=6, q=5, level="graph")  # no space columns
+    VerifyConfig(max_n=6, q=5, level="space", force=True)
+    VerifyConfig(max_n=5, q=7, level="space")  # [5, 2]_7 = 140050 planes pass
+
+
 def test_config_depth_and_label():
     assert VerifyConfig(level="graph").depth == 0
     assert VerifyConfig(level="space").depth == 1
