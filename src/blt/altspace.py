@@ -58,7 +58,10 @@ where r1 = n (b), is one bit of the table at b = 2, and is ranked from
 M_U B_U^t for the other U at b >= 3.  lambda's filter reads r2 too: for
 every complement V, cut(U, V) >= dim{B_U A} - r2(r2-1)/2 (the proof is in
 _level_bounds), so lambda_space ranks the cuts of a U's complements
-(_cut_ranks_for_u) only where no bound reaches the current best.
+(_cut_ranks_for_u) only where no bound reaches the current best.  The
+filter is a cascade from cheap to dear, each stage for the U the earlier
+ones leave open: the degrees of the RREF rows of U, then the capped ranks
+of the flat stacks B_U A, then the degrees of every line of U.
 
 A query pays only for what it returns: kappa_space stops at the first level
 that reaches 0 and reads its witness W = U + U^perp off one elimination, and
@@ -668,7 +671,7 @@ def _cut_ranks_for_u(space: AltMatrixSpace, u_rows: np.ndarray, cap: int):
 
 
 def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
-    """Lower bounds on the cut dimension of each dim-b subspace U, over every split U + V.
+    """Lower bounds on the cut dimension of each dim-b subspace U, clamped at best.
 
     Two lower bounds for the cut dimension across any split U + V:
     - a single row u^t A restricted to V loses at most dim(Vperp n uperp) =
@@ -680,30 +683,45 @@ def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
       dim{B_U A} <= dim{B_U A B_U^t} + cut(U, V).  The first term counts
       alternating forms on U that vanish on U cap U^perp, that is forms on
       a space of dimension r2, so it is at most r2(r2-1)/2.
-    Both are independent of the choice of V; the bound of U is the larger.
-    The degrees of the lines in U are read from the line degrees at the
-    cached gf.subspace_lines, and the (m, b n) stacks B_U A are gathered
-    from the row table, _CHUNK entries at a time.  The rank in the second
-    is capped at best + b(b-1)/2, which only lowers it, so a capped bound is
-    still a lower bound, and since r2 <= b it reaches best exactly when the
-    uncapped one does.  lambda_space reads r2 from the scans that
-    is_orth_decomposable has already run at every level.
+    Both are independent of the choice of V.  They are computed as a
+    cascade, each stage only for the U that the earlier ones leave below
+    best, and the result is min(max of the stages, best):
+    1. the line bound over the b RREF rows of U alone, read from the line
+       degrees at gf.subspace_row_lines, for every U;
+    2. the flat bound: the (m, b n) stacks B_U A are gathered from the row
+       table, _CHUNK entries at a time, and ranked with cap best +
+       b(b-1)/2, which only lowers a rank, so a capped bound is still a
+       lower bound, and since r2 <= b it reaches best exactly when the
+       uncapped one does;
+    3. the line bound over every line of U, from gf.subspace_lines of the U
+       still open.  At m = 0 every degree is 0 and stage 1 is this bound.
+    A U ends below best exactly when the larger of the two bounds is below
+    it, so the clamped result equals min(larger bound, best) entry for
+    entry: lambda_space compares entries only with best or a smaller value.
+    lambda_space reads r2 from the scans that is_orth_decomposable has
+    already run at every level.
     """
     n, q, m = space.n, space.q, space.dim
-    max_deg = _line_degrees(space)[gf.subspace_lines(n, b, q)].max(axis=1)
-    bound = max_deg - (b - 1)
+    degs = _line_degrees(space)
+    rows = gf.subspace_row_lines(n, b, q)
+    bound = degs[rows].max(axis=1) - (b - 1)
     if m:
         T = space._row_table
         r2 = _dim_scan(space, b)[1]
-        rows = gf.subspace_row_lines(n, b, q)
-        r_flat = np.zeros(len(rows), dtype=np.int64)
+        open_u = np.flatnonzero(bound < best)
         step = max(1, _CHUNK // (m * b * n))
-        for lo in range(0, len(rows), step):
-            idx = rows[lo : lo + step]
-            flats = T[idx].transpose(0, 2, 1, 3).reshape(len(idx), m, b * n)
-            r_flat[lo : lo + step] = rank_batched(flats, q, cap=best + b * (b - 1) // 2)
-        bound = np.maximum(bound, r_flat - r2 * (r2 - 1) // 2)
-    return bound
+        for lo in range(0, len(open_u), step):
+            sel = open_u[lo : lo + step]
+            flats = T[rows[sel]].transpose(0, 2, 1, 3).reshape(len(sel), m, b * n)
+            r_flat = rank_batched(flats, q, cap=best + b * (b - 1) // 2)
+            bound[sel] = np.maximum(bound[sel], r_flat - r2[sel] * (r2[sel] - 1) // 2)
+        open_u = open_u[bound[open_u] < best]
+        Us = subspace_matrices(n, b, q)
+        step = max(1, _CHUNK // (n * (q**b - 1) // (q - 1)))
+        for lo in range(0, len(open_u), step):
+            sel = open_u[lo : lo + step]
+            bound[sel] = np.maximum(bound[sel], degs[gf.subspace_lines(Us[sel], q)].max(axis=1) - (b - 1))
+    return np.minimum(bound, best)
 
 
 def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
@@ -716,10 +734,13 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     gives each U of a level a lower bound on its cut, the larger of
     max deg(u) - (b - 1) over its lines and dim{B_U A} - r2(r2-1)/2 with r2
     read from the level scan, computed once per level with the best of the
-    level start as cap, and a U is skipped when its bound reaches the
-    current best, so the filter tightens after every strict drop within the
-    level.  Capped bounds stay lower bounds.  Only the kept U reach
-    _cut_ranks_for_u, which ranks the cut of every complement V.
+    level start as cap and clamped at it (a cascade that computes each
+    bound only for the U the cheaper ones leave below that best), and a U
+    is skipped when its bound reaches the current best, so the filter
+    tightens after every strict drop within the level.  Capped and clamped
+    bounds stay lower bounds, and the current best never exceeds the clamp.
+    Only the kept U reach _cut_ranks_for_u, which ranks the cut of every
+    complement V.
 
     The witness is the first split in canonical order (b ascending, then U in
     subspace_matrices order, then V in complement_matrices order) whose cut

@@ -394,26 +394,25 @@ def subspace_row_lines(n: int, k: int, q: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def subspace_lines(n: int, k: int, q: int) -> np.ndarray:
-    """(N, (q^k - 1)/(q - 1)) line_index of every line inside each k-dim subspace.
+def subspace_lines(Us: np.ndarray, q: int) -> np.ndarray:
+    """(N, (q^k - 1)/(q - 1)) line_index of every line inside each subspace of Us.
 
-    The lines of subspace i are the combinations projective_lines(k, q) of
-    its RREF rows, in that order.  The first nonzero coefficient is 1 and
-    meets its row's pivot, where the later rows are 0, so each combination
-    is a line representative whose first nonzero entry sits at that pivot.
-    The combinations are one matmul in the width of _work_dtype(q, k),
-    whose bound holds a sum of k products of residues.  Cached and
-    read-only; needs k >= 1.
+    Us is an (N, k, n) stack of RREF bases with k >= 1, such as a selection
+    of subspace_matrices(n, k, q); nothing is cached, so a caller pays only
+    for the subspaces it passes.  The lines of subspace i are the
+    combinations projective_lines(k, q) of its RREF rows, in that order.
+    The first nonzero coefficient is 1 and meets its row's pivot, where the
+    later rows are 0, so each combination is a line representative whose
+    first nonzero entry sits at that pivot.  The combinations are one
+    matmul in the width of _work_dtype(q, k), whose bound holds a sum of k
+    products of residues.
     """
+    k = Us.shape[1]
     combos = projective_lines(k, q)
-    Us = subspace_matrices(n, k, q)
     dtype = _work_dtype(q, k)
     v = _mod(combos.astype(dtype) @ Us.astype(dtype), q)
     piv = (Us != 0).argmax(axis=2)[:, (combos != 0).argmax(axis=1)]
-    out = _line_index_at(v, piv, q)
-    out.setflags(write=False)
-    return out
+    return _line_index_at(v, piv, q)
 
 
 def enumerate_subspaces(n: int, k: int, q: int) -> Iterator[Subspace]:

@@ -290,7 +290,7 @@ def test_gathered_stacks_equal_the_einsum_stacks(n, m, q):
         ref1, ref2 = _einsum_dim_scan(sp, b)
         assert np.array_equal(r1, ref1) and np.array_equal(r2, ref2), b
         best = max(1, m // 2)
-        assert np.array_equal(altspace._level_bounds(sp, b, best), _einsum_level_bounds(sp, b, best)), b
+        assert np.array_equal(altspace._level_bounds(sp, b, best), np.minimum(_einsum_level_bounds(sp, b, best), best)), b
         if m:  # lambda_space never reaches the cut ranks at m = 0
             Us = gf.subspace_matrices(n, b, q)
             for i, cap in ((0, m), (len(Us) // 2, best), (len(Us) - 1, 1)):
@@ -377,6 +377,72 @@ def test_level_bounds_are_sound():
                 Vs = gf.complement_matrices(Us[0], q)
                 assert min(cut_dim(sp, U, gf.Subspace.from_vectors(V, n, q)) for V in Vs) == min_cut[0]
     assert tight > 100
+
+
+def test_level_bounds_equal_the_clamped_reference_at_every_best():
+    # a capped flat rank reaches best exactly when the uncapped one does, so
+    # one reference per level with a cap no rank reaches serves every best;
+    # the C6 image has solids that only the bound over all lines closes
+    c6 = random_isometry_image(space_from_graph(cycle_graph(6), 3), 1)[0]
+    for sp in [*_bound_spaces(), c6]:
+        n, m = sp.n, sp.dim
+        for b in range(2, n // 2 + 1):
+            ref = _einsum_level_bounds(sp, b, m + b * b)
+            for best in range(1, m + 2):
+                assert np.array_equal(altspace._level_bounds(sp, b, best), np.minimum(ref, best)), (n, sp.q, m, b, best)
+
+
+def _cascade_cases():
+    # the seed-0 space-n6 images of C6 and K6 at best = delta (lambda_space's
+    # level start), pinned: how many U each stage ranks or reads the lines
+    # of; then every _bound_spaces() space with m > 0 at best = m // 2 and m
+    c6 = random_isometry_image(space_from_graph(cycle_graph(6), 3), 1)[0]
+    k6 = random_isometry_image(space_from_graph(complete_graph(6), 3), 4)[0]
+    yield c6, 3, 2, 17, 2
+    yield k6, 2, 5, 11011, 0
+    yield k6, 3, 5, 33880, 0
+    for sp in (sp for sp in _bound_spaces() if sp.dim):
+        for best in sorted({max(1, sp.dim // 2), sp.dim}):
+            yield sp, 2, best, None, None
+
+
+def test_level_bounds_cascade_ranks_only_the_open_u(monkeypatch):
+    # the flats are ranked for the U the row bound leaves below best, and
+    # the lines are read only for the U the flats leave below best
+    rank, lines_of = gf.rank_batched, gf.subspace_lines
+    ranked, lined = [], []
+
+    def count_ranks(mats, q, cap=None):
+        ranked.append(len(mats))
+        return rank(mats, q, cap)
+
+    def record_lines(S, q):
+        lined.append(S)
+        return lines_of(S, q)
+
+    reached_lines = 0
+    for sp, b, best, want_flats, want_lines in _cascade_cases():
+        n, q, m = sp.n, sp.q, sp.dim
+        degs = altspace._line_degrees(sp)
+        r2 = altspace._dim_scan(sp, b)[1]  # the scans run before the patches
+        Us = gf.subspace_matrices(n, b, q)
+        row = degs[gf.subspace_row_lines(n, b, q)].max(axis=1) - (b - 1)
+        flat = _chunked(len(Us), lambda lo, hi: gf.rank_batched(
+            np.einsum("ubi,kij->ukbj", Us[lo:hi], sp.tensor).reshape(hi - lo, m, b * n), q))
+        still_open = (row < best) & (flat - r2 * (r2 - 1) // 2 < best)
+        ranked.clear()
+        lined.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(altspace, "rank_batched", count_ranks)
+            mp.setattr(gf, "subspace_lines", record_lines)
+            altspace._level_bounds(sp, b, best)
+        assert sum(ranked) == int((row < best).sum()), (n, q, m, b)
+        got = np.concatenate(lined) if lined else np.zeros((0, b, n), dtype=np.int64)
+        assert np.array_equal(got, Us[still_open]), (n, q, m, b)
+        if want_flats is not None:
+            assert (sum(ranked), len(got)) == (want_flats, want_lines)
+        reached_lines += len(got)
+    assert reached_lines > 0
 
 
 def test_row_table_width_is_safe_up_to_max_q():
