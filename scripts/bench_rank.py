@@ -3,14 +3,14 @@
 
 Each row is one (B, r, c) stack of seeded uniform residues mod q, ranked
 --repeats times; the row reports the median wall time.  The first two shapes
-are full chunks of the level scans of K6 (m = 15) at b = 3 under the scan
-budget altspace._CHUNK = 2^18 entries: the _level_bounds flat stack (970
-subspaces, 15 x 18, cap 8 = best + b(b-1)/2 at best 5; the cascade there
-ranks it only for the U whose RREF-row degrees stay below best, as on K6,
-where every line has degree 5) and the _dim_scan
-r2 stack M_U B_U^t (970 subspaces, 45 x 3), ranked for the U with
-r1 < n; r1 itself comes from altspace's orthogonality bit table, with no
-elimination.  The next five are the per-layer shapes
+are full chunks of the level scans of an n = 6 space with m = 15 at b = 3
+under the scan budget altspace._CHUNK = 2^18 entries: the _level_bounds
+flat stack (970 subspaces, 15 x 18, cap 8 = best + b(b-1)/2 at best 5),
+which stands for the flat stacks that the counting bounds of the cascade
+leave open (on K6 itself counting closes every U, so none is ranked), and
+the _dim_scan r2 stack M_U B_U^t (970 subspaces, 45 x 3), ranked for the U
+with r1 < n; r1 itself comes from altspace's orthogonality bit table, with
+no elimination.  The next five are the per-layer shapes
 of the roadmap.  The last two are the self-adjoint constraint stacks of
 the literal oracles (altspace.first_decomposable) for a whole level at
 w = 4: the 1210 quotients by 2-dim X of a 5-dim codomain at q = 3 (3

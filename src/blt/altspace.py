@@ -60,8 +60,10 @@ every complement V, cut(U, V) >= dim{B_U A} - r2(r2-1)/2 (the proof is in
 _level_bounds), so lambda_space ranks the cuts of a U's complements
 (_cut_ranks_for_u) only where no bound reaches the current best.  The
 filter is a cascade from cheap to dear, each stage for the U the earlier
-ones leave open: the degrees of the RREF rows of U, then the capped ranks
-of the flat stacks B_U A, then the degrees of every line of U.
+ones leave open: the degrees of the RREF rows of U together with two
+counts that bound dim{B_U A} from below (the largest row degree, and
+m - C(n - b, 2), since the forms that B_U kills live on F^n / U), then the
+capped ranks of the flat stacks B_U A, then the degrees of every line of U.
 
 A query pays only for what it returns: kappa_space stops at the first level
 that reaches 0 and reads its witness W = U + U^perp off one elimination, and
@@ -74,6 +76,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -683,11 +686,21 @@ def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
       dim{B_U A} <= dim{B_U A B_U^t} + cut(U, V).  The first term counts
       alternating forms on U that vanish on U cap U^perp, that is forms on
       a space of dimension r2, so it is at most r2(r2-1)/2.
-    Both are independent of the choice of V.  They are computed as a
-    cascade, each stage only for the U that the earlier ones leave below
-    best, and the result is min(max of the stages, best):
-    1. the line bound over the b RREF rows of U alone, read from the line
-       degrees at gf.subspace_row_lines, for every U;
+    Both are independent of the choice of V.  Two counts bound dim{B_U A}
+    from below without a rank.  Let K_U = {A : B_U A = 0}, the kernel of
+    A -> B_U A, so dim{B_U A} = m - dim K_U:
+    - K_U lies in the kernel K_u for each row u of B_U, and dim K_u =
+      m - deg(u), so dim{B_U A} >= deg(u);
+    - each A in K_U vanishes when either argument lies in U, so it is an
+      alternating form on F^n / U, and dim K_U <= C(n - b, 2), so
+      dim{B_U A} >= m - C(n - b, 2).
+    The bounds are computed as a cascade, each stage only for the U that
+    the earlier ones leave below best, and the result is min(max of the
+    stages, best):
+    1. the line bound over the b RREF rows of U alone, and the flat bound
+       with dim{B_U A} replaced by the larger of the two counts, read from
+       the line degrees at gf.subspace_row_lines and from r2, for every U;
+       on K6, K7 and other dense spaces this closes every U;
     2. the flat bound: the (m, b n) stacks B_U A are gathered from the row
        table, _CHUNK entries at a time, and ranked with cap best +
        b(b-1)/2, which only lowers a rank, so a capped bound is still a
@@ -704,10 +717,12 @@ def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
     n, q, m = space.n, space.q, space.dim
     degs = _line_degrees(space)
     rows = gf.subspace_row_lines(n, b, q)
-    bound = degs[rows].max(axis=1) - (b - 1)
+    row_deg = degs[rows].max(axis=1)
+    bound = row_deg - (b - 1)
     if m:
         T = space._row_table
         r2 = _dim_scan(space, b)[1]
+        bound = np.maximum(bound, np.maximum(row_deg, m - comb(n - b, 2)) - r2 * (r2 - 1) // 2)
         open_u = np.flatnonzero(bound < best)
         step = max(1, _CHUNK // (m * b * n))
         for lo in range(0, len(open_u), step):
@@ -735,7 +750,10 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     max deg(u) - (b - 1) over its lines and dim{B_U A} - r2(r2-1)/2 with r2
     read from the level scan, computed once per level with the best of the
     level start as cap and clamped at it (a cascade that computes each
-    bound only for the U the cheaper ones leave below that best), and a U
+    bound only for the U the cheaper ones leave below that best; its first
+    stage bounds dim{B_U A} by counting, at least the largest degree of a
+    basis row of U and at least m - C(n - b, 2), which on dense spaces
+    such as K6 and K7 closes every level before any rank), and a U
     is skipped when its bound reaches the current best, so the filter
     tightens after every strict drop within the level.  Capped and clamped
     bounds stay lower bounds, and the current best never exceeds the clamp.

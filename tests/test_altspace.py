@@ -2,6 +2,7 @@
 
 import ast
 import json
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -395,20 +396,21 @@ def test_level_bounds_equal_the_clamped_reference_at_every_best():
 def _cascade_cases():
     # the seed-0 space-n6 images of C6 and K6 at best = delta (lambda_space's
     # level start), pinned: how many U each stage ranks or reads the lines
-    # of; then every _bound_spaces() space with m > 0 at best = m // 2 and m
+    # of (on K6 the count m - C(n - b, 2) closes every U before any rank);
+    # then every _bound_spaces() space with m > 0 at best = m // 2 and m
     c6 = random_isometry_image(space_from_graph(cycle_graph(6), 3), 1)[0]
     k6 = random_isometry_image(space_from_graph(complete_graph(6), 3), 4)[0]
-    yield c6, 3, 2, 17, 2
-    yield k6, 2, 5, 11011, 0
-    yield k6, 3, 5, 33880, 0
+    yield c6, 3, 2, 13, 2
+    yield k6, 2, 5, 0, 0
+    yield k6, 3, 5, 0, 0
     for sp in (sp for sp in _bound_spaces() if sp.dim):
         for best in sorted({max(1, sp.dim // 2), sp.dim}):
             yield sp, 2, best, None, None
 
 
 def test_level_bounds_cascade_ranks_only_the_open_u(monkeypatch):
-    # the flats are ranked for the U the row bound leaves below best, and
-    # the lines are read only for the U the flats leave below best
+    # the flats are ranked for the U the row and counting bounds leave below
+    # best, and the lines are read only for the U the flats leave below best
     rank, lines_of = gf.rank_batched, gf.subspace_lines
     ranked, lined = [], []
 
@@ -426,7 +428,8 @@ def test_level_bounds_cascade_ranks_only_the_open_u(monkeypatch):
         degs = altspace._line_degrees(sp)
         r2 = altspace._dim_scan(sp, b)[1]  # the scans run before the patches
         Us = gf.subspace_matrices(n, b, q)
-        row = degs[gf.subspace_row_lines(n, b, q)].max(axis=1) - (b - 1)
+        row_deg = degs[gf.subspace_row_lines(n, b, q)].max(axis=1)
+        row = np.maximum(row_deg - (b - 1), np.maximum(row_deg, m - comb(n - b, 2)) - r2 * (r2 - 1) // 2)
         flat = _chunked(len(Us), lambda lo, hi: gf.rank_batched(
             np.einsum("ubi,kij->ukbj", Us[lo:hi], sp.tensor).reshape(hi - lo, m, b * n), q))
         still_open = (row < best) & (flat - r2 * (r2 - 1) // 2 < best)
@@ -443,6 +446,83 @@ def test_level_bounds_cascade_ranks_only_the_open_u(monkeypatch):
             assert (sum(ranked), len(got)) == (want_flats, want_lines)
         reached_lines += len(got)
     assert reached_lines > 0
+
+
+def _einsum_flats_and_row_degrees(space, Us):
+    """Reference: uncapped dim{B_U A} and the largest degree of a basis row, for each basis in Us."""
+    q, m = space.q, space.dim
+    N, b, n = Us.shape
+    P = np.einsum("ubi,kij->ukbj", Us, space.tensor) % q
+    flats = gf.rank_batched(P.reshape(N, m, b * n), q)
+    rows = gf.rank_batched(P.transpose(0, 2, 1, 3).reshape(N * b, m, n), q)
+    return flats, rows.reshape(N, b).max(axis=1)
+
+
+def _full_space_images():
+    # the full alternating spaces of F_3^5 and F_3^6 under seeded isometries
+    yield random_isometry_image(space_from_graph(complete_graph(5), 3), 2)[0]
+    yield random_isometry_image(space_from_graph(complete_graph(6), 3), 4)[0]
+
+
+def test_counting_bounds_are_lower_bounds_on_the_flat_rank():
+    # the two stage-1 bounds of _level_bounds: A -> B_U A has kernel K_U,
+    # whose members are alternating forms on F^n / U, so dim{B_U A} >=
+    # m - C(n - b, 2); K_U lies in the kernel for each basis row u, so
+    # dim{B_U A} >= deg(u)
+    for sp in [*_bound_spaces(), *_full_space_images()]:
+        n, q, m = sp.n, sp.q, sp.dim
+        for b in range(2, n // 2 + 1):
+            Us = gf.subspace_matrices(n, b, q)
+            flats, row_deg = _chunked(len(Us), lambda lo, hi: np.stack(_einsum_flats_and_row_degrees(sp, Us[lo:hi])))
+            assert (m - comb(n - b, 2) <= flats).all(), (n, q, m, b)
+            assert (row_deg <= flats).all(), (n, q, m, b)
+
+
+def test_count_is_exact_on_the_full_space():
+    # on the full space K_U is every alternating form on F^n / U
+    for sp in _full_space_images():
+        n, q, m = sp.n, sp.q, sp.dim
+        assert m == comb(n, 2)
+        for b in range(1, n // 2 + 1):
+            Us = gf.subspace_matrices(n, b, q)
+            flats = _chunked(len(Us), lambda lo, hi: _einsum_flats_and_row_degrees(sp, Us[lo:hi])[0])
+            assert (flats == m - comb(n - b, 2)).all(), (n, b)
+
+
+@pytest.mark.parametrize(
+    "make, want",
+    [
+        (lambda: random_isometry_image(space_from_graph(complete_graph(6), 3), 4)[0], 5),
+        (lambda: random_isometry_image(space_from_graph(complete_graph(6), 3), 11)[0], 5),
+        (lambda: space_from_graph(_OCTAHEDRON, 3), 4),
+    ],
+    ids=["k6-image-4", "k6-image-11", "octahedron"],
+)
+def test_counting_closes_dense_levels_before_any_rank(monkeypatch, make, want):
+    # every U of every level b >= 2 has m - C(n - b, 2) - r2(r2-1)/2 >= delta,
+    # so _level_bounds ranks no flat stack and lambda = delta
+    sp = make()
+    level_bounds, rank = altspace._level_bounds, altspace.rank_batched
+    inside, levels, calls = [False], [], []
+
+    def bounds(space, b, best):
+        levels.append(b)
+        inside[0] = True
+        try:
+            return level_bounds(space, b, best)
+        finally:
+            inside[0] = False
+
+    def count_ranks(mats, q, cap=None):
+        if inside[0]:
+            calls.append(len(mats))
+        return rank(mats, q, cap)
+
+    monkeypatch.setattr(altspace, "_level_bounds", bounds)
+    monkeypatch.setattr(altspace, "rank_batched", count_ranks)
+    assert lambda_space(sp).value == want
+    assert levels == [2, 3]
+    assert calls == []
 
 
 def test_row_table_width_is_safe_up_to_max_q():
