@@ -570,7 +570,7 @@ def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Sub
     """
     n, q = space.n, space.q
     check_guard("n", n, gf.GUARD_N, force)
-    _check_scan_guards(space, force)
+    gf.check_scan_guards(n, q, force)
     best = n - 1
     best_u: Optional[np.ndarray] = None
     for b in range(1, n // 2 + 1):
@@ -632,21 +632,9 @@ def degree_vector(space: AltMatrixSpace, v) -> int:
     return gf.rank_gf(M, space.q)
 
 
-def _check_lines_guard(space: AltMatrixSpace, force: bool):
-    lines = (space.q**space.n - 1) // (space.q - 1)
-    check_guard("lines", lines, gf.LINES_GUARD, force)
-
-
-def _check_scan_guards(space: AltMatrixSpace, force: bool):
-    """The lines guard, then the guard on the largest level the scans walk:
-    [n, b]_q over b <= n/2 peaks at b = n // 2."""
-    _check_lines_guard(space, force)
-    check_guard("subspaces", gf.gaussian_binomial(space.n, space.n // 2, space.q), gf.LEVEL_GUARD, force)
-
-
 def delta_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, np.ndarray]:
     """(delta, v): minimum degree over nonzero vectors, first line rep attaining."""
-    _check_lines_guard(space, force)
+    gf.check_lines_guard(space.n, space.q, force)
     degs = _line_degrees(space)
     idx = int(degs.argmin())
     return int(degs[idx]), np.array(gf.projective_lines(space.n, space.q)[idx])
@@ -776,7 +764,7 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     if n < 2:
         raise ValueError("lambda needs ambient dimension >= 2")
     check_guard("n", n, gf.GUARD_N, force)
-    _check_scan_guards(space, force)
+    gf.check_scan_guards(n, q, force)
     dec, w = is_orth_decomposable(space)
     if dec:
         if w is None:
@@ -864,7 +852,7 @@ def is_fully_connected(space: AltMatrixSpace, *, force: bool = False):
     n, q = space.n, space.q
     if n == 1:
         return True, None
-    _check_lines_guard(space, force)
+    gf.check_lines_guard(n, q, force)
     lines = gf.projective_lines(n, q)
     if space.dim == 0:
         return False, (np.array(lines[0]), np.array(lines[1]))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,9 +39,9 @@ ORACLE_GUARD_M = 6  # space dimension m: lambda_space_oracle
 LAMBDA_MAP_GUARD_M = 8  # codomain dimension m: lambda_map
 # n + m, the exponent of the group order: the structured kappa_group,
 # lambda_group and is_centrally_decomposable, and the sweep's group columns.
-# Their cost grows with the number of subspace pairs of F_p^n and of
-# quotient candidates in F_p^m.  perfbench's chain-n4 picks its groups by
-# this budget, so raising it changes that workload.
+# Their cost grows with the number of subspace pairs of F_p^n, each with its
+# cross rows in F_p^m.  perfbench's chain-n4 picks its groups by this
+# budget, so raising it changes that workload.
 # n + m = 6 admits every graph on up to 3 vertices (K_3 gives 3^6); past it
 # the fast path through the commutator map applies.
 GROUP_GUARD_EXP = 6
@@ -66,6 +66,18 @@ def check_guard(what: str, value: int, guard: int, force: bool):
             f"{what}={value} exceeds the brute-force guard {guard}; pass force=True "
             "(CLI: --force) to run anyway"
         )
+
+
+def check_lines_guard(n: int, q: int, force: bool):
+    """LINES_GUARD on the (q^n - 1)/(q - 1) lines of F_q^n."""
+    check_guard("lines", (q**n - 1) // (q - 1), LINES_GUARD, force)
+
+
+def check_scan_guards(n: int, q: int, force: bool):
+    """The lines guard, then LEVEL_GUARD on the largest level the scans walk:
+    [n, b]_q over b <= n/2 peaks at b = n // 2."""
+    check_lines_guard(n, q, force)
+    check_guard("subspaces", gaussian_binomial(n, n // 2, q), LEVEL_GUARD, force)
 
 
 def is_prime(n: int) -> bool:
@@ -413,14 +425,6 @@ def subspace_lines(Us: np.ndarray, q: int) -> np.ndarray:
     v = _mod(combos.astype(dtype) @ Us.astype(dtype), q)
     piv = (Us != 0).argmax(axis=2)[:, (combos != 0).argmax(axis=1)]
     return _line_index_at(v, piv, q)
-
-
-def enumerate_subspaces(n: int, k: int, q: int) -> Iterator[Subspace]:
-    """Yield every k-dim subspace of F_q^n exactly once, deterministically."""
-    if k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    for basis in subspace_matrices(n, k, q):
-        yield Subspace(n, q, tuple(tuple(int(x) for x in row) for row in basis))
 
 
 def complement_matrices(u_basis: np.ndarray, q: int) -> np.ndarray:

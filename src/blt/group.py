@@ -27,13 +27,10 @@ rank 1.
 
 The pairs and their cross rows phi(U_J, U_K) do not depend on X, so
 _pair_blocks lists them once per ambient, in canonical order, and each
-search tests them against its own X.  lambda_group keeps them as one pair
-table: level s = 0 runs while the table is built, then one batched rank
-gives dim phi(U_J, U_K) of every pair, and the search goes straight to the
-level s = min dim phi(U_J, U_K), where the pairs of that dim are tested
-against a chunk of X at a time, through one product with the annihilators
-of the X.  Value and witness are those of the per-X scan (argument in
-lambda_group).
+search tests them against its own X.  lambda_group needs no X at all: one
+streaming pass over the blocks ranks the cross rows of each pair, and N_X
+is the least span phi(U_J, U_K) among the pairs of least dimension.  Value
+and witness are those of the per-X scan (argument in lambda_group).
 
 A fast path recovers the bilinear map from commutators and delegates to the
 map-level solvers.  For kappa the structured and the fast path share the
@@ -56,7 +53,7 @@ from .altspace import first_restriction, matrices_from_json
 from .bilinear import AltBilinearMap, is_surjective, kappa_map, lambda_map
 from .gf import Subspace, check_guard, field, rank_batched, reduce_mod_rowspace, subspace_matrices
 
-_PAIR_CHUNK = 2**14  # entries in one direct-sum stack of _pair_blocks, and in one product of lambda_group
+_PAIR_CHUNK = 2**14  # entries in one direct-sum stack of _pair_blocks
 
 
 @dataclass(frozen=True)
@@ -458,26 +455,24 @@ def lambda_group(
     structured: P/N_X decomposes iff a proper nonzero pair covers F^n with
     phi(U_J, U_K) <= X (module docstring).  The answer is the first hit in
     the order s ascending, X in subspace_matrices order, then the pairs in
-    _pair_blocks order; the search reads that order off one pair table:
-    - Level s = 0 (X = 0) runs while the table is built: the first block
-      with a pair of zero cross rows returns that pair.
-    - Otherwise the table holds the cross rows of every pair, zero-padded to
-      one width, and one rank_batched call gives d_t = dim phi(U_J, U_K) of
-      every pair t.
+    _pair_blocks order.  One pass over the blocks ranks d_t =
+    dim phi(U_J, U_K) of each pair t and keeps the pairs at the running
+    minimum s = min d_t, in block order:
+    - Level s = 0 (X = 0): the first block with a pair of zero cross rows
+      returns that pair.
     - A pair with d_t > s lies in no X of dimension s, so no level below
-      s = min d_t has a hit, and level s = min d_t always has one: the span
-      phi(U_J, U_K) of a pair with d_t = s is itself an X of that level.
-      The search goes straight to that level and keeps only the pairs with
-      d_t = s; the first clean pair of every X stays the same.  At s = m
-      the only X is F^m, where the quotient is elementary abelian of rank
-      n >= 2, and the first pair wins (rank-1 groups fall under the cyclic
-      convention).
-    - The X of level s are walked in order, in chunks: a cross row lies in
-      X iff the closed-form annihilator of X kills it, so one product mod p
-      per chunk marks every clean (pair, X) cell.  The first X with a clean
-      cell and its first clean pair in table order are the canonical first
-      hit.
-    So value, N_X and pair are those of the per-X scan.
+      s = min d_t has a hit.  A pair with d_t = s is clean for an s-dim X
+      exactly when X is its span phi(U_J, U_K), so the X of level s with a
+      hit are exactly the spans of the kept pairs.  At s = m the only X is
+      F^m, where the quotient is elementary abelian of rank n >= 2
+      (rank-1 groups fall under the cyclic convention).
+    - subspace_matrices orders spans by pivot tuple, then by the free
+      entries as a row-major base-p counter; the other RREF cells are fixed
+      by the pivots, so (pivots, RREF rows) sorts the kept spans in that
+      order.  The least span is the canonical X, and the first kept pair
+      with that span (min keeps the first of equal keys) is its first pair.
+    So value, N_X and pair are those of the per-X scan, and no subspace of
+    F^m is ever enumerated.
 
     fast: commutator map + map-level quotient search.
     """
@@ -489,41 +484,28 @@ def lambda_group(
     check_guard("n+m", P.n + P.m, gf.GROUP_GUARD_EXP, force)
     n, m, p = P.n, P.m, P.p
     full = Subspace.full(n, p)
-    dtype = gf._work_dtype(p, m)  # holds every cross entry and every product sum below
-    width = (n // 2) * (n - n // 2)  # the most cross rows of a pair, at a = n // 2
-    # pair t of the table is row j_idx[t] of the dim-a_idx[t] stack and row k_idx[t] of its partner
-    a_idx, j_idx, k_idx, table = [], [], [], []
+    s, kept = m + 1, []  # the least dim phi(U_J, U_K) so far, and its pairs (a, j, k, cross) in block order
     for a, js, ks, cross in _pair_blocks(P, full):
         clean = ~cross.reshape(len(ks), -1).any(axis=1)
-        if clean.any():
+        if clean.any():  # X = 0: the first pair of zero cross rows
             t = int(clean.argmax())
             return LambdaGroupResult(0, central_subgroup(P, Subspace.zero(m, p)),
                                      _pair_subspaces(P, full, a, int(js[t]), int(ks[t])))
-        a_idx.append(np.full(len(ks), a, dtype=np.int8))
-        j_idx.append(js.astype(np.int32))
-        k_idx.append(ks.astype(np.int32))
-        padded = np.zeros((len(ks), width, m), dtype=dtype)
-        padded[:, : cross.shape[1]] = cross
-        table.append(padded)
-    a_idx, j_idx, k_idx, table = (np.concatenate(x) for x in (a_idx, j_idx, k_idx, table))
-    dims = rank_batched(table, p)
-    s = int(dims.min())
-    kept = np.flatnonzero(dims == s)
-    rows = table[kept].reshape(-1, m)
-    xs = subspace_matrices(m, s, p)
-    step = max(1, _PAIR_CHUNK // max(1, len(rows) * (m - s)))
-    for lo in range(0, len(xs), step):
-        ann = gf.annihilator_matrices(xs[lo : lo + step], p).astype(dtype)  # (c, m - s, m)
-        dirty = (rows @ ann.reshape(-1, m).T) % p != 0
-        clean = ~dirty.reshape(len(kept), width, len(ann), m - s).any(axis=(1, 3))  # (pair, X)
-        hit = np.flatnonzero(clean.any(axis=0))
-        if hit.size:
-            x = int(hit[0])
-            t = int(kept[clean[:, x].argmax()])
-            X = Subspace.from_vectors(np.array(xs[lo + x]).reshape(s, m), m, p)
-            pair = _pair_subspaces(P, full, int(a_idx[t]), int(j_idx[t]), int(k_idx[t]))
-            return LambdaGroupResult(s, central_subgroup(P, X), pair)
-    raise AssertionError("the span of a pair's cross rows is an X that ends the search")
+        dims = rank_batched(cross, p)
+        low = int(dims.min())
+        if low < s:
+            s, kept = low, []
+        if low == s:
+            t = np.flatnonzero(dims == s)
+            kept += zip([a] * len(t), js[t].tolist(), ks[t].tolist(), cross[t])
+
+    def order(pair):  # subspace_matrices order of the span of the pair's cross rows
+        R, _, pivots = gf.rref(pair[3], p)
+        return pivots, R[:s].tolist()
+
+    a, j, k, cross = min(kept, key=order)  # the first pair of the least span
+    X = Subspace.from_vectors(cross, m, p)
+    return LambdaGroupResult(s, central_subgroup(P, X), _pair_subspaces(P, full, a, j, k))
 
 
 # ---------------------------------------------------------------------------

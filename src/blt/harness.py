@@ -86,10 +86,7 @@ class VerifyConfig:
             # the space columns' lambda_space and delta_space scan every line
             # of F_q^n, and kappa_space and lambda_space every level up to
             # b = n // 2; refuse the whole sweep before any row runs
-            lines = (self.q**self.max_n - 1) // (self.q - 1)
-            gf.check_guard("lines", lines, gf.LINES_GUARD, self.force)
-            level = gf.gaussian_binomial(self.max_n, self.max_n // 2, self.q)
-            gf.check_guard("subspaces", level, gf.LEVEL_GUARD, self.force)
+            gf.check_scan_guards(self.max_n, self.q, self.force)
 
     @property
     def depth(self) -> int:

@@ -79,12 +79,6 @@ def test_subspace_enumeration_count_and_uniqueness(n, k, q):
         assert r == k and (R == m).all()
 
 
-def test_enumerate_subspaces_matches_stack():
-    subs = list(gf.enumerate_subspaces(3, 2, 3))
-    assert len(subs) == 13
-    assert all(S.dim == 2 for S in subs)
-
-
 def test_subspace_basics():
     S = gf.Subspace.from_vectors([[1, 1, 0], [0, 0, 1], [1, 1, 1]], 3, 3)
     assert S.dim == 2

@@ -1,5 +1,7 @@
 """Baer groups: the group law, subgroup machinery, degrees, kappa/lambda."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -318,7 +320,8 @@ def _reference_kappa(P):
     """The original per-U loop of the structured kappa_group, with no filter."""
     zero = gf.Subspace.zero(P.m, P.p)
     for s in range(P.n):
-        for U in gf.enumerate_subspaces(P.n, P.n - s, P.p):
+        for basis in gf.subspace_matrices(P.n, P.n - s, P.p):
+            U = gf.Subspace.from_vectors(basis, P.n, P.p)
             found, pair = _reference_pair_search(P, U, zero)
             if found:
                 return s, U, pair
@@ -384,7 +387,7 @@ def test_lambda_group_matches_the_per_x_scan(monkeypatch, lambda_reference, chun
         res = lambda_group(P, force=True)
         assert (res.value, res.quotient_by.X, res.pair) == (s, X, pair), name
         values.add(s)
-    assert values == {0, 1, 2}  # the level-0 exit, the table at s = 1 and at s = 2
+    assert values == {0, 1, 2}  # the level-0 exit, and the least span at s = 1 and at s = 2
 
 
 def test_pair_searches_with_modulo_match_the_reference():
@@ -445,6 +448,43 @@ def test_k4_lambda_group_witness():
     assert U_K == gf.Subspace.from_vectors([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], 4, 3)
     assert U_J.sum_with(U_K).dim == 4
     assert all(res.quotient_by.X.contains(P.phi(x, y)) for x in U_J.mat() for y in U_K.mat())
+
+
+def test_lambda_group_never_enumerates_the_codomain(monkeypatch):
+    # K4 has m = 6: the X come off the pair spans, with no walk over subspaces of F^6
+    subspace_matrices = group.subspace_matrices
+
+    def ambient_only(n, k, q):
+        if n == 6:
+            raise AssertionError(f"subspace_matrices({n}, {k}, {q}) walks the codomain")
+        return subspace_matrices(n, k, q)
+
+    def refuse(*args):
+        raise AssertionError("annihilator_matrices called")
+
+    monkeypatch.setattr(group, "subspace_matrices", ambient_only)
+    monkeypatch.setattr(gf, "annihilator_matrices", refuse)
+    test_k4_lambda_group_witness()
+
+
+def test_forced_lambda_group_at_five_vertices():
+    g = cycle_graph(5)
+    P = group_from_graph(g, 3)
+    tracemalloc.start()
+    try:
+        res = lambda_group(P, force=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == edge_connectivity(g)[0] == 2
+    X = res.quotient_by.X
+    U_J, U_K = res.pair
+    assert X.dim == 2
+    assert U_J.dim + U_K.dim == 5 and U_J.sum_with(U_K) == gf.Subspace.full(5, 3)
+    assert all(X.contains(P.phi(x, y)) for x in U_J.mat() for y in U_K.mat())
+    J, K = decomposition_factors(P, res.pair, X)
+    assert (J.U, K.U) == res.pair and J.X.contains_space(X) and K.X.contains_space(X)
+    assert peak < 32 * 2**20  # no table of all 891891 direct pairs, no level of subspaces of F^5
 
 
 def test_commutator_map_roundtrip():
