@@ -43,10 +43,14 @@ Level scans and line degrees are computed once per space object and shared
 by kappa, lambda, delta and decomposability.  So is the row table: the rows
 l^t A_k of every line representative l, built on first use in the narrow
 integer width of gf._work_dtype.  Every RREF row is a line representative,
-so the scans gather their stacks from the table (_dim_scan, _level_bounds,
-_cut_ranks_for_u) and multiply them by subspace bases in that width.  One
-budget, _CHUNK, sets how many entries a gathered stack holds; each scan
-sizes its steps from it and ranks a chunk with one rank_batched call.
+so a level is read only through gf.subspace_row_lines, the int32 line
+indices of the RREF rows of each U: the scans gather their stacks from the
+table at those indices (_dim_scan, _level_bounds, _cut_ranks_for_u), and
+gather from gf.projective_lines only the bases of the U they still need, a
+chunk or a U at a time, so no scan builds a whole level of int64 bases.
+Products of stacks and bases stay in the table width.  One budget, _CHUNK,
+sets how many entries a gathered stack holds; each scan sizes its steps
+from it and ranks a chunk with one rank_batched call.
 
 The level scan of _dim_scan gives each U two ranks, r1 = rank(M_U) =
 n - dim U^perp and r2 = b - dim(U cap U^perp).  Only level 1 ranks M_U by
@@ -321,9 +325,11 @@ def _dim_scan(space: AltMatrixSpace, b: int):
       d = dim U^perp.  Where r1 = n, U^perp = 0 gives r2 = b.
     - b = 2: the rows of M_U B_U^t are (0, g_k) and (-g_k, 0) with
       g_k = u1^t A_k u2, so r2 = 2 unless u2 lies in u1^perp: one bit.
-    - b >= 3: M_U B_U^t is gathered from the row table, multiplied in the
-      table dtype and ranked for the U with r1 < n only.
-    Returns (r1, r2), read-only and computed once per space object.
+    - b >= 3: M_U and B_U are gathered from the row table and from
+      projective_lines, multiplied in the table dtype and ranked for the U
+      with r1 < n only.
+    Returns (r1, r2), read-only and computed once per space object: int64
+    at b = 1 (r1 holds the line degrees), int8 at b >= 2 (0 <= r <= n).
     """
     if b in space._scans:
         return space._scans[b]
@@ -340,18 +346,19 @@ def _dim_scan(space: AltMatrixSpace, b: int):
     elif b == 2:
         r1 = n - _perp_dims(space, rows)
         bits, u1, u2 = space._perp_bits, rows[:, 0], rows[:, 1]
-        r2 = 2 - 2 * ((bits[u1, u2 >> 3] >> (7 - (u2 & 7))) & 1).astype(np.int64)
+        r2 = 2 - 2 * ((bits[u1, u2 >> 3] >> (7 - (u2 & 7))) & 1).astype(np.int8)
     else:
         r1 = n - _perp_dims(space, rows)
-        r2 = np.where(r1 == n, b, 0)
+        r2 = np.zeros(N, dtype=np.int8)
+        r2[r1 == n] = b
         T = space._row_table
-        Us = subspace_matrices(n, b, q)
+        lines = gf.projective_lines(n, q).astype(T.dtype)
         open_u = np.flatnonzero(r1 < n)
         step = max(1, _CHUNK // max(1, b * m * n))
         for lo in range(0, len(open_u), step):
             sel = open_u[lo : lo + step]
             M = T[rows[sel]].reshape(len(sel), b * m, n)
-            r2[sel] = rank_batched(M @ Us[sel].transpose(0, 2, 1).astype(T.dtype), q)
+            r2[sel] = rank_batched(M @ lines[rows[sel]].transpose(0, 2, 1), q)
     r1.setflags(write=False)
     r2.setflags(write=False)
     space._scans[b] = r1, r2
@@ -359,7 +366,7 @@ def _dim_scan(space: AltMatrixSpace, b: int):
 
 
 def _perp_dims(space: AltMatrixSpace, rows: np.ndarray) -> np.ndarray:
-    """dim U^perp for each row of line indices spanning a U, from _perp_bits.
+    """dim U^perp (int8) for each row of line indices spanning a U, from _perp_bits.
 
     The bits of each 64-bit word are counted by the classic shift-and-mask
     sum: np.bitwise_count needs numpy >= 2.0, and a 256-entry byte table
@@ -368,9 +375,9 @@ def _perp_dims(space: AltMatrixSpace, rows: np.ndarray) -> np.ndarray:
     """
     n, q = space.n, space.q
     bits = space._perp_bits
-    dim_of = np.full(bits.shape[1] * 8 + 1, -1)  # lines of a d-dim space -> d, any count -> -1
+    dim_of = np.full(bits.shape[1] * 8 + 1, -1, dtype=np.int8)  # lines of a d-dim space -> d, any count -> -1
     dim_of[(q ** np.arange(n + 1) - 1) // (q - 1)] = np.arange(n + 1)
-    d = np.zeros(len(rows), dtype=np.int64)
+    d = np.zeros(len(rows), dtype=np.int8)
     step = max(1, _CHUNK // bits.shape[1])
     for lo in range(0, len(rows), step):
         idx = rows[lo : lo + step]
@@ -426,8 +433,8 @@ def is_orth_decomposable(space: AltMatrixSpace):
         r1, r2 = _dim_scan(space, b)
         hits = np.nonzero(r1 == r2)[0]
         if hits.size:
-            u_rows = subspace_matrices(n, b, q)[hits[0]]
-            return True, _orth_witness_from_u(space, np.array(u_rows))
+            u_rows = gf.projective_lines(n, q)[gf.subspace_row_lines(n, b, q)[hits[0]]]
+            return True, _orth_witness_from_u(space, u_rows)
     return False, None
 
 
@@ -571,6 +578,7 @@ def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Sub
     n, q = space.n, space.q
     check_guard("n", n, gf.GUARD_N, force)
     gf.check_scan_guards(n, q, force)
+    lines = gf.projective_lines(n, q)
     best = n - 1
     best_u: Optional[np.ndarray] = None
     for b in range(1, n // 2 + 1):
@@ -583,11 +591,10 @@ def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Sub
         idx = int(c.argmin())
         if c[idx] < best:
             best = int(c[idx])
-            best_u = np.array(subspace_matrices(n, b, q)[idx])
+            best_u = lines[gf.subspace_row_lines(n, b, q)[idx]]
     if best_u is None:
         # degenerate route only: restriction to a line is the zero space
-        W = Subspace.from_vectors(np.array(subspace_matrices(n, 1, q)[0]), n, q)
-        return n - 1, W
+        return n - 1, Subspace.from_vectors(lines[:1], n, q)
     W = Subspace.from_vectors(np.vstack([best_u, _perp_basis(space, best_u)]), n, q)
     if W.dim != n - best:
         raise AssertionError("the kappa witness must have dimension n - kappa")
@@ -694,8 +701,9 @@ def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
        b(b-1)/2, which only lowers a rank, so a capped bound is still a
        lower bound, and since r2 <= b it reaches best exactly when the
        uncapped one does;
-    3. the line bound over every line of U, from gf.subspace_lines of the U
-       still open.  At m = 0 every degree is 0 and stage 1 is this bound.
+    3. the line bound over every line of U, from gf.subspace_lines of the
+       bases of the U still open, gathered from projective_lines.  At m = 0
+       every degree is 0 and stage 1 is this bound.
     A U ends below best exactly when the larger of the two bounds is below
     it, so the clamped result equals min(larger bound, best) entry for
     entry: lambda_space compares entries only with best or a smaller value.
@@ -704,27 +712,27 @@ def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
     """
     n, q, m = space.n, space.q, space.dim
     degs = _line_degrees(space)
-    rows = gf.subspace_row_lines(n, b, q)
+    lines, rows = gf.projective_lines(n, q), gf.subspace_row_lines(n, b, q)
     row_deg = degs[rows].max(axis=1)
     bound = row_deg - (b - 1)
     if m:
         T = space._row_table
-        r2 = _dim_scan(space, b)[1]
-        bound = np.maximum(bound, np.maximum(row_deg, m - comb(n - b, 2)) - r2 * (r2 - 1) // 2)
+        # r2(r2-1)/2 looked up in int64, since r2 is int8
+        drop = np.array([comb(r, 2) for r in range(b + 1)])[_dim_scan(space, b)[1]]
+        bound = np.maximum(bound, np.maximum(row_deg, m - comb(n - b, 2)) - drop)
         open_u = np.flatnonzero(bound < best)
         step = max(1, _CHUNK // (m * b * n))
         for lo in range(0, len(open_u), step):
             sel = open_u[lo : lo + step]
             flats = T[rows[sel]].transpose(0, 2, 1, 3).reshape(len(sel), m, b * n)
             r_flat = rank_batched(flats, q, cap=best + b * (b - 1) // 2)
-            bound[sel] = np.maximum(bound[sel], r_flat - r2[sel] * (r2[sel] - 1) // 2)
+            bound[sel] = np.maximum(bound[sel], r_flat - drop[sel])
         open_u = open_u[bound[open_u] < best]
-        Us = subspace_matrices(n, b, q)
         step = max(1, _CHUNK // (n * (q**b - 1) // (q - 1)))
         for lo in range(0, len(open_u), step):
             sel = open_u[lo : lo + step]
-            bound[sel] = np.maximum(bound[sel], degs[gf.subspace_lines(Us[sel], q)].max(axis=1) - (b - 1))
-    return np.minimum(bound, best)
+            bound[sel] = np.maximum(bound[sel], degs[gf.subspace_lines(lines[rows[sel]], q)].max(axis=1) - (b - 1))
+    return np.minimum(bound, best, out=bound)
 
 
 def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
@@ -774,17 +782,18 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     u_rows = v[None, :]
     v_rows = gf.complement_matrices(u_rows, q)[0]
     if best > 1:
+        lines = gf.projective_lines(n, q)
         for b in range(2, n // 2 + 1):
             bound = _level_bounds(space, b, best)
-            Us = subspace_matrices(n, b, q)
+            rows = gf.subspace_row_lines(n, b, q)
             for u_idx in np.flatnonzero(bound < best):
                 if bound[u_idx] >= best:
                     continue  # best dropped earlier in this level
-                ranks = _cut_ranks_for_u(space, np.array(Us[u_idx]), cap=best)
+                ranks = _cut_ranks_for_u(space, lines[rows[u_idx]], cap=best)
                 j = int(ranks.argmin())
                 if ranks[j] < best:
                     best = int(ranks[j])
-                    u_rows = np.array(Us[u_idx])
+                    u_rows = lines[rows[u_idx]]
                     v_rows = gf.complement_matrices(u_rows, q)[j]
                     if best <= 1:
                         break

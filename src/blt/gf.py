@@ -10,6 +10,10 @@ Conventions used throughout the package:
 
 Enumeration of subspaces is deterministic: pivot-column patterns in
 lexicographic order, then free entries in row-major base-q counter order.
+A level is cached once, as subspace_row_lines: the positions in
+projective_lines of each subspace's RREF rows, built in closed form in
+int32 (int64 past 2^31 lines).  subspace_matrices gathers the int64 bases
+from it on each call.
 The batched kernel at the bottom, rank_batched, does Gaussian elimination
 over a leading batch axis; every connectivity search ends in it.  It
 eliminates along the shorter side of each matrix, stores the stack
@@ -342,32 +346,15 @@ def _free_cells(n: int, pivots: Sequence[int]):
     return cells
 
 
-@lru_cache(maxsize=None)
 def subspace_matrices(n: int, k: int, q: int) -> np.ndarray:
     """All k-dim subspaces of F_q^n as a (N, k, n) stack of RREF bases.
 
     Order: pivot patterns lexicographic, then free entries as a row-major
-    base-q counter.  Cached; intended for n <= 6 at small q.
+    base-q counter.  Read-only int64, gathered from projective_lines(n, q)
+    at the cached subspace_row_lines(n, k, q) on each call and not cached
+    itself: the literal oracles read whole levels, the scans never do.
     """
-    field(q)
-    if k == 0:
-        return np.zeros((1, 0, n), dtype=np.int64)
-    blocks = []
-    for pivots in combinations(range(n), k):
-        cells = _free_cells(n, pivots)
-        f = len(cells)
-        count = q**f
-        block = np.zeros((count, k, n), dtype=np.int64)
-        for i, p in enumerate(pivots):
-            block[:, i, p] = 1
-        if f:
-            vals = np.arange(count, dtype=np.int64)
-            powers = q ** np.arange(f - 1, -1, -1, dtype=np.int64)
-            digits = (vals[:, None] // powers) % q
-            for j, (ri, ci) in enumerate(cells):
-                block[:, ri, ci] = digits[:, j]
-        blocks.append(block)
-    out = np.concatenate(blocks, axis=0)
+    out = projective_lines(n, q)[subspace_row_lines(n, k, q)]
     out.setflags(write=False)
     return out
 
@@ -398,10 +385,28 @@ def _line_index_at(v: np.ndarray, piv: np.ndarray, q: int) -> np.ndarray:
 def subspace_row_lines(n: int, k: int, q: int) -> np.ndarray:
     """(N, k) line_index of the RREF rows of each subspace_matrices(n, k, q) entry.
 
-    An RREF row has a unit pivot first, so it is a line representative.
-    Cached and read-only.
+    The one cached enumeration of a level, built in closed form per pivot
+    pattern.  An RREF row is a line representative: row i with pivot p
+    starts at its block offset (q^n - q^(n-p))/(q - 1), and each free cell
+    (i, c) adds its counter digit times q^(n-1-c).  The cells are added one
+    at a time into the pattern's (q^f, k) block of the output, the digit
+    running along one axis of a reshaped view, so no digit matrix is formed.
+    The dtype is int32 while L = (q^n - 1)/(q - 1) < 2^31, so it holds
+    every index up to L - 1, else int64.  Cached and read-only.
     """
-    out = line_index(subspace_matrices(n, k, q), q)
+    field(q)
+    dtype = np.int32 if (q**n - 1) // (q - 1) < 2**31 else np.int64
+    out = np.empty((gaussian_binomial(n, k, q), k), dtype=dtype)
+    lo = 0
+    for pivots in combinations(range(n), k):
+        cells = _free_cells(n, pivots)
+        f = len(cells)
+        block = out[lo : lo + q**f]
+        lo += q**f
+        block[:] = [(q**n - q ** (n - p)) // (q - 1) for p in pivots]
+        for j, (i, c) in enumerate(cells):
+            row = block.reshape(q**j, q, q ** (f - 1 - j), k)[:, :, :, i]  # axis 1 is the digit of cell j
+            row += np.arange(q, dtype=dtype)[:, None] * q ** (n - 1 - c)
     out.setflags(write=False)
     return out
 
@@ -562,12 +567,25 @@ def rank_batched(mats: np.ndarray, q: int, cap: Optional[int] = None) -> np.ndar
     return np.minimum(ranks, limit)
 
 
+@lru_cache(maxsize=None)
 def projective_lines(n: int, q: int) -> np.ndarray:
     """One representative per line of F_q^n: normalized so first nonzero entry is 1.
 
-    The rows of subspace_matrices(n, 1, q), in that order.
+    The lines with that entry at p form one block, the vectors e_p + x with
+    x running over all_vectors on the n - 1 - p later coordinates, and the
+    blocks come in pivot order p = 0, 1, ...: the rows of
+    subspace_matrices(n, 1, q), in that order.  Cached and read-only int64.
     """
-    return subspace_matrices(n, 1, q)[:, 0, :]
+    field(q)
+    out = np.zeros(((q**n - 1) // (q - 1), n), dtype=np.int64)
+    lo = 0
+    for p in range(n):
+        block = out[lo : lo + q ** (n - 1 - p)]
+        lo += len(block)
+        block[:, p] = 1
+        block[:, p + 1 :] = all_vectors(n - 1 - p, q)
+    out.setflags(write=False)
+    return out
 
 
 def all_vectors(n: int, q: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -46,7 +47,9 @@ from blt.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    edge_connectivity,
     graph_from_mask,
+    min_degree,
     path_graph,
     star_graph,
     vertex_connectivity,
@@ -968,6 +971,67 @@ def test_level_bounds_prove_lambda_equals_delta_without_complements(monkeypatch,
     assert res.value == 4
     assert res.U.mat().tolist() == [u]
     assert res.V.mat().tolist() == np.eye(sp.n, dtype=np.int64)[1:].tolist()
+
+
+def _no_stack_cases():
+    """(space, graph or None, kappa, W, lambda, U, V, delta, v, split or None), pinned."""
+    e6, e5 = np.eye(6, dtype=int).tolist(), np.eye(5, dtype=int).tolist()
+    yield (space_from_graph(_OCTAHEDRON, 3), _OCTAHEDRON,
+           4, [e6[0], e6[3]], 4, [e6[0]], e6[1:], 4, e6[0], None)
+    c6 = cycle_graph(6)
+    u = [1, 1, 2, 1, 0, 1]
+    yield (random_isometry_image(space_from_graph(c6, 3), 5)[0], c6,
+           2, [[1, 0, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0], e6[4], e6[5]], 2, [u], e6[1:], 2, u, None)
+    p4, e4 = path_graph(4), np.eye(4, dtype=int).tolist()
+    yield space_from_graph(p4, 5), p4, 1, [e4[0], e4[2], e4[3]], 1, [e4[0]], e4[1:], 1, e4[0], None
+    # a decomposable space, so is_orth_decomposable gathers the basis of its first hit
+    split = [[1, 0, 2, 0, 0], [0, 0, 0, 1, 0]], [[1, 0, 0, 0, 1], [0, 1, 0, 2, 0], [0, 0, 1, 0, 0]]
+    sp = random_isometry_image(space_from_graph(disjoint_union(path_graph(2), path_graph(3)), 3), 2)[0]
+    yield sp, None, 0, e5, 0, *split, 1, [1, 0, 2, 0, 0], split
+
+
+@pytest.mark.parametrize("case", list(_no_stack_cases()), ids=["octahedron", "c6-image", "p4-q5", "split-image"])
+def test_space_scans_never_build_a_level_stack(monkeypatch, case):
+    # the scans read each level through subspace_row_lines and gather only
+    # the bases they need, so a subspace_matrices call is an error here
+    sp, g, kappa, W, lam, U, V, delta, v, split = case
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a space scan built a whole level of subspace bases")
+
+    monkeypatch.setattr(gf, "subspace_matrices", refuse)
+    monkeypatch.setattr(altspace, "subspace_matrices", refuse)
+    got_kappa, got_W = kappa_space(sp)
+    res = lambda_space(sp)
+    got_delta, got_v = delta_space(sp)
+    dec, w = is_orth_decomposable(sp)
+    assert (got_kappa, got_W.mat().tolist()) == (kappa, W)
+    assert (res.value, res.U.mat().tolist(), res.V.mat().tolist()) == (lam, U, V)
+    assert (got_delta, got_v.tolist()) == (delta, v)
+    assert dec == (split is not None)
+    if dec:
+        assert (w.U.mat().tolist(), w.V.mat().tolist()) == split and validate_orth_witness(sp, w)
+    if g is not None:
+        assert (kappa, lam, delta) == (vertex_connectivity(g)[0], edge_connectivity(g)[0], min_degree(g))
+
+
+def test_forced_scans_at_seven_vertices_stay_small():
+    # forced n = 7 at q = 3: level 3 holds 925771 solids, read through their
+    # int32 row lines (11 MB); an int64 stack of the level alone would be 155 MB
+    sp = space_from_graph(cycle_graph(7), 3)
+    tracemalloc.start()
+    try:
+        kappa, W = kappa_space(sp, force=True)
+        res = lambda_space(sp, force=True)
+        delta, v = delta_space(sp, force=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    e7 = np.eye(7, dtype=int).tolist()
+    assert (kappa, res.value, delta) == (2, 2, 2)
+    assert W.mat().tolist() == [e7[0]] + e7[2:6]
+    assert (res.U.mat().tolist(), res.V.mat().tolist(), v.tolist()) == ([e7[0]], e7[1:], e7[0])
+    assert peak < 64 * 2**20
 
 
 def test_isometry_invariance():

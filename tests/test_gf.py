@@ -1,5 +1,7 @@
 """Field arithmetic, RREF, subspace enumeration."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,60 @@ def test_subspace_lines_match_the_einsum_lines(n, k, q):
     ref = gf.line_index(np.einsum("cb,ubn->ucn", gf.projective_lines(k, q), Us) % q, q)
     got = gf.subspace_lines(Us, q)
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def _literal_level(n, k, q):
+    """Reference enumeration: pivot tuples in lexicographic order, then the
+    free cells as a row-major base-q counter, each RREF basis written out."""
+    out = []
+    for pivots in combinations(range(n), k):
+        cells = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        for digits in product(range(q), repeat=len(cells)):
+            rows = [[int(c == p) for c in range(n)] for p in pivots]
+            for (i, c), d in zip(cells, digits):
+                rows[i][c] = d
+            out.append(rows)
+    return np.array(out, dtype=np.int64).reshape(len(out), k, n)
+
+
+@pytest.mark.parametrize("n, q", [(n, 3) for n in range(1, 7)] + [(n, q) for q in (5, 7) for n in range(1, 5)])
+def test_level_enumeration_matches_the_literal_reference(n, q):
+    for k in range(n + 1):
+        ref = _literal_level(n, k, q)
+        got = gf.subspace_matrices(n, k, q)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, ref), (n, k, q)
+        if k:
+            rows = gf.subspace_row_lines(n, k, q)
+            assert rows.dtype == np.int32 and not rows.flags.writeable
+            assert np.array_equal(rows, gf.line_index(ref, q)), (n, k, q)
+    lines = gf.projective_lines(n, q)
+    assert lines.dtype == np.int64 and not lines.flags.writeable
+    assert np.array_equal(lines, _literal_level(n, 1, q)[:, 0, :])
+
+
+def test_narrow_widths_hold_every_value_up_to_max_q():
+    # every prime q <= MAX_Q at every n the lines budget admits, and forced n = 7 at q = 3:
+    # the row-line dtype holds the last line index L - 1, and the int8 of the
+    # level scans holds r1, r2 <= n
+    cases = [(7, 3)]
+    for q in (p for p in range(3, gf.MAX_Q + 1) if gf.is_prime(p)):
+        n = 1
+        while (q ** (n + 1) - 1) // (q - 1) <= gf.LINES_GUARD:
+            n += 1
+        cases += [(k, q) for k in range(1, n + 1)]
+    assert (8, 3) in cases and (9, 3) not in cases and (2, gf.MAX_Q) in cases and (3, gf.MAX_Q) not in cases
+    for n, q in cases:
+        L = (q**n - 1) // (q - 1)
+        assert np.iinfo(gf.subspace_row_lines(n, 1, q).dtype).max >= L - 1, (n, q)
+        assert np.iinfo(np.int8).max >= n
+    # forced past the budget: the last lines of F_251^2 and F_251^3, pivot n - 2 with every digit, then e_{n-1}
+    q = gf.MAX_Q
+    for n in (2, 3):
+        tail = [[0] * (n - 2) + [1, d] for d in range(q)] + [[0] * (n - 1) + [1]]
+        rows = gf.subspace_row_lines(n, 1, q)
+        assert rows[-1, 0] == (q**n - 1) // (q - 1) - 1
+        assert np.array_equal(rows[-(q + 1) :, 0], gf.line_index(np.array(tail), q))
 
 
 def test_all_vectors():
