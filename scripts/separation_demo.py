@@ -53,8 +53,8 @@ def main() -> int:
 
     P = baer_group(map_from_space(sp), args.q)
     print(f"\ngroup image: order {args.q}^{P.n + P.m}")
-    kg = kappa_group(P, method="fast", force=True)
-    lg = lambda_group(P, method="fast", force=True)
+    kg = kappa_group(P, force=True)
+    lg = lambda_group(P, force=True)
     print(f"kappa  = {kg.value}")
     print(f"lambda = {lg.value}")
     verdict = "holds" if kg.value > lg.value else "is gone"

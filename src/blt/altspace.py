@@ -27,17 +27,16 @@ every decomposable W arises that way, so
 
 subject to ker M_U not contained in U.  The n - 1 term is the degenerate
 convention: one-dimensional restrictions are zero spaces and zero spaces
-decompose.  A literal restriction-enumeration solver is kept alongside as a
-cross-check oracle.
+decompose.  The literal searches that cross-check these solvers are
+bilinear.kappa_map and bilinear.lambda_map, run on map_from_space(space).
 
-The literal oracles here (kappa_space_bruteforce, lambda_space_oracle) and
-in bilinear (kappa_map, lambda_map) share one candidate loop,
-first_decomposable: one batched rank per chunk gives each candidate's
-self-adjoint algebra, dimension 1 proves it indecomposable, and every
-other candidate gets the oracle's own literal test, in canonical order.
-The kappa searches at every level (kappa_space_bruteforce, kappa_map and
-the structured group.kappa_group) are one restriction walk on top of it,
-first_restriction, and differ only in their exact tests.
+Those literal searches and the structured group.kappa_group share one
+candidate loop, first_decomposable: one batched rank per chunk gives each
+candidate's self-adjoint algebra, dimension 1 proves it indecomposable, and
+every other candidate gets the caller's own literal test, in canonical
+order.  The kappa searches (kappa_map and group.kappa_group) are one
+restriction walk on top of it, first_restriction, and differ only in their
+exact tests.
 
 Level scans and line degrees are computed once per space object and shared
 by kappa, lambda, delta and decomposability.  So is the row table: the rows
@@ -262,8 +261,8 @@ class LambdaResult:
     """
 
     value: int
-    U: Optional[Subspace]
-    V: Optional[Subspace]
+    U: Subspace
+    V: Subspace
     space: AltMatrixSpace
 
     @cached_property
@@ -601,16 +600,6 @@ def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Sub
     return best, W
 
 
-def kappa_space_bruteforce(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Subspace]:
-    """Literal search: c ascending, restrictions in canonical order.
-
-    first_restriction skips the restrictions that its self-adjoint filter
-    proves indecomposable; every other one is tested literally, in order.
-    """
-    check_guard("n", space.n, gf.BRUTEFORCE_GUARD_N, force)
-    return first_restriction(space.tensor, space.n, space.q, lambda U: is_orth_decomposable(restrict(space, U))[0])
-
-
 # ---------------------------------------------------------------------------
 # lambda
 
@@ -813,38 +802,6 @@ def _cut_kernel(space: AltMatrixSpace, U: Subspace, V: Subspace) -> AltMatrixSpa
     coeffs = gf.nullspace(cuts.reshape(space.dim, -1).T, q)
     mats = np.einsum("ck,kij->cij", coeffs, space.tensor) % q
     return AltMatrixSpace.from_matrices(mats, space.n, q)
-
-
-def lambda_space_oracle(space: AltMatrixSpace, *, force: bool = False):
-    """Literal definition of lambda: smallest codimension of a decomposable
-    subspace of the space itself.  Enumerates coefficient subspaces of F^m.
-
-    first_decomposable skips the subspaces that its self-adjoint filter
-    proves indecomposable; every other one is tested literally, in order.
-
-    Returns (value, vanishing_subspace, witness)."""
-    n, q, m = space.n, space.q, space.dim
-    if n < 2:
-        raise ValueError("lambda needs ambient dimension >= 2")
-    check_guard("m", m, gf.ORACLE_GUARD_M, force)
-    flat = space.tensor.reshape(m, n * n)
-    for c in range(m + 1):
-        Cs = subspace_matrices(m, m - c, q)
-        hit = None
-
-        def exact(i: int) -> bool:
-            nonlocal hit
-            sub = AltMatrixSpace.from_matrices((Cs[i] @ flat).reshape(m - c, n, n) % q, n, q)
-            dec, w = is_orth_decomposable(sub)
-            hit = sub, w
-            return dec
-
-        i = first_decomposable(
-            len(Cs), m - c, n, q, lambda lo, hi: (Cs[lo:hi] @ flat).reshape(hi - lo, m - c, n, n), exact
-        )
-        if i is not None:
-            return (c, *hit)
-    raise AssertionError("the zero subspace always decomposes")
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ one's self-adjoint algebra {X : X^t A = A X}; dimension 1 proves the
 candidate indecomposable, so it is skipped.  Every other candidate gets the
 literal test above (restrict_map or quotient_map, then
 is_orth_decomposable), in order, so value and witness are those of the
-plain one-at-a-time loop.  kappa_map's walk is altspace.first_restriction,
-the one restriction walk that kappa_space_bruteforce and the structured
-group.kappa_group also take; only the exact tests differ.
+plain one-at-a-time loop.  These are the toolkit's literal searches for
+kappa and lambda at every level: a space is checked through
+map_from_space.  kappa_map's walk is altspace.first_restriction, the one
+restriction walk that the structured group.kappa_group also takes; only
+the exact tests differ.
 """
 
 from __future__ import annotations

@@ -147,8 +147,8 @@ def cmd_space(args) -> int:
         res = lambda_space(sp, force=args.force)
         payload = {
             "lambda": res.value,
-            "U": _subspace_payload(res.U) if res.U is not None else None,
-            "V": _subspace_payload(res.V) if res.V is not None else None,
+            "U": _subspace_payload(res.U),
+            "V": _subspace_payload(res.V),
             "vanishing_dim": res.vanishing.dim,
         }
     elif args.subcmd == "delta":
@@ -285,8 +285,8 @@ def _verify_counterexample(args) -> int:
     }
     if args.p == args.q:
         P = baer_group(map_from_space(sp), args.p)
-        kg = kappa_group(P, method="fast", force=True)
-        lg = lambda_group(P, method="fast", force=True)
+        kg = kappa_group(P, force=True)
+        lg = lambda_group(P, force=True)
         payload["group"] = {
             "order_exp": P.n + P.m,
             "kappa": kg.value,

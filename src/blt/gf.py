@@ -38,8 +38,6 @@ MAX_Q = 251
 # search past its budget raises GuardExceeded unless force=True (CLI:
 # --force); MAX_N_CAP is a hard cap of the sweep that force does not lift.
 GUARD_N = 6  # n: kappa_space, lambda_space, kappa_map, lambda_map, deg_element, delta_group
-BRUTEFORCE_GUARD_N = 5  # n: kappa_space_bruteforce
-ORACLE_GUARD_M = 6  # space dimension m: lambda_space_oracle
 LAMBDA_MAP_GUARD_M = 8  # codomain dimension m: lambda_map
 # n + m, the exponent of the group order: the structured kappa_group,
 # lambda_group and is_centrally_decomposable, and the sweep's group columns.

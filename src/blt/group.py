@@ -236,12 +236,6 @@ def deg_element(P: BaerGroup, g: GroupElement, *, force: bool = False) -> int:
     return P.n + P.m - (P.m + k)
 
 
-def deg_element_by_rank(P: BaerGroup, g: GroupElement) -> int:
-    """Same degree through rank(phi(v_g, .)); cross-check for deg_element."""
-    Mv = np.einsum("kij,i->kj", P.phi.tensor, np.array(g.v, dtype=np.int64)) % P.p
-    return gf.rank_gf(Mv, P.p)
-
-
 def delta_group(P: BaerGroup, *, force: bool = False) -> Tuple[int, GroupElement]:
     """Minimum degree over g outside [P, P] (i.e. with nonzero v-part).
 

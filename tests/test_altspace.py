@@ -27,9 +27,7 @@ from blt.altspace import (
     is_orth_decomposable,
     kappa_gt_lambda_instance,
     kappa_space,
-    kappa_space_bruteforce,
     lambda_space,
-    lambda_space_oracle,
     orth_decomposable_pairscan,
     random_alt_space,
     random_isometry_image,
@@ -39,7 +37,7 @@ from blt.altspace import (
     space_to_json,
     validate_orth_witness,
 )
-from blt.bilinear import map_from_json, map_from_space
+from blt.bilinear import kappa_map, lambda_map, map_from_json, map_from_space
 from blt.group import group_from_json
 from blt.graphs import (
     Graph,
@@ -148,10 +146,10 @@ def test_kappa_matches_bruteforce():
         n = int(rng.integers(2, 5))
         m = int(rng.integers(0, n * (n - 1) // 2 + 1))
         sp = random_alt_space(n, m, 3, rng)
-        assert kappa_space(sp)[0] == kappa_space_bruteforce(sp)[0]
+        assert kappa_space(sp)[0] == kappa_map(map_from_space(sp))[0]
     for mask in (7, 21, 63):
         sp = space_from_graph(graph_from_mask(4, mask), 5)
-        assert kappa_space(sp)[0] == kappa_space_bruteforce(sp)[0]
+        assert kappa_space(sp)[0] == kappa_map(map_from_space(sp))[0]
 
 
 def test_kappa_witness_restriction_decomposes():
@@ -730,24 +728,24 @@ def test_lambda_matches_oracle_random():
         m = int(rng.integers(0, min(4, n * (n - 1) // 2) + 1))
         sp = random_alt_space(n, m, 3, rng)
         fast = lambda_space(sp).value
-        slow, _, _ = lambda_space_oracle(sp)
+        slow, _ = lambda_map(map_from_space(sp))
         assert fast == slow, (n, m)
 
 
 def test_lambda_matches_oracle_graphs_q5():
-    # masks kept to m <= 4: the oracle enumerates subspaces of the m-dim space
+    # masks kept to m <= 4: lambda_map enumerates subspaces of the m-dim codomain
     for mask in (15, 33, 51):
         sp = space_from_graph(graph_from_mask(4, mask), 5)
-        assert lambda_space(sp).value == lambda_space_oracle(sp)[0]
+        assert lambda_space(sp).value == lambda_map(map_from_space(sp))[0]
 
 
 def test_lambda_pruned_level_still_exact():
     # C_4: lambda = delta, so the pruned levels must keep the dim-1 witness;
-    # the oracle confirms the value
+    # the literal lambda_map confirms the value
     sp = space_from_graph(cycle_graph(4), 3)
     res = lambda_space(sp)
-    assert res.value == lambda_space_oracle(sp)[0] == 2
-    # C_6 / K_5 are too big for the subspace oracle; edge connectivity is the
+    assert res.value == lambda_map(map_from_space(sp))[0] == 2
+    # C_6 / K_5 are too big for the literal search; edge connectivity is the
     # independent reference there
     from blt.graphs import edge_connectivity
 
@@ -1085,15 +1083,13 @@ def test_no_guard_keywords_in_library():
 @pytest.mark.parametrize(
     "solver,arg,module",
     [
-        # path graphs: n = budget + 1 vertices, or m = budget + 1 edges
-        (kappa_space_bruteforce, space_from_graph(path_graph(gf.BRUTEFORCE_GUARD_N + 1), 3), altspace),
-        (lambda_space_oracle, space_from_graph(path_graph(gf.ORACLE_GUARD_M + 2), 3), altspace),
+        # path graphs: n = budget + 1 vertices
         (bilinear.kappa_map, map_from_space(space_from_graph(path_graph(gf.GUARD_N + 1), 3)), altspace),
         # K5 minus an edge: n = 5 passes the n budget, m = 9 does not
         (bilinear.lambda_map, map_from_space(space_from_graph(graph_from_mask(5, 0b1111111110), 3)), bilinear),
         (bilinear.lambda_map, map_from_space(space_from_graph(path_graph(gf.GUARD_N + 1), 3)), bilinear),
     ],
-    ids=["kappa_space_bruteforce", "lambda_space_oracle", "kappa_map", "lambda_map", "lambda_map_n"],
+    ids=["kappa_map", "lambda_map", "lambda_map_n"],
 )
 def test_guard_refuses_one_past_budget(monkeypatch, solver, arg, module):
     def started(*args, **kwargs):
@@ -1169,61 +1165,6 @@ def test_no_decomposable_space_has_adjoint_rank_w2_minus_1():
     for sp in random_spaces:
         assert _passes_filter(sp) or not is_orth_decomposable(sp)[0], sp
     assert len(graphs_n5) == 1094
-
-
-def _kappa_space_bruteforce_reference(space):
-    n, q = space.n, space.q
-    for c in range(n):
-        for w_rows in gf.subspace_matrices(n, n - c, q):
-            W = gf.Subspace.from_vectors(np.array(w_rows), n, q)
-            if is_orth_decomposable(restrict(space, W))[0]:
-                return c, W
-    raise AssertionError("unreachable")
-
-
-def _lambda_space_oracle_reference(space):
-    n, q, m = space.n, space.q, space.dim
-    flat = space.tensor.reshape(m, n * n)
-    for c in range(m + 1):
-        for coeffs in gf.subspace_matrices(m, m - c, q):
-            sub = AltMatrixSpace.from_matrices((coeffs @ flat).reshape(m - c, n, n) % q, n, q)
-            dec, w = is_orth_decomposable(sub)
-            if dec:
-                return c, sub, w
-    raise AssertionError("unreachable")
-
-
-def _oracle_spaces():
-    # the graphs on at most 4 vertices with at most 4 edges: the literal lambda
-    # oracle takes about a second on K4 - e and a minute on K4
-    out = [space_from_graph(g, 3) for n in (2, 3, 4) for g in all_labeled_graphs(n) if g.m <= 4]
-    out.append(AltMatrixSpace.zero(3, 3))
-    rng = np.random.default_rng(47)
-    for k in range(30):
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(0, min(4, n * (n - 1) // 2) + 1))
-        q = (3, 5)[k % 2] if n < 5 else 3  # the literal kappa oracle takes ~20 s on F_5^5
-        out.append(random_alt_space(n, m, q, rng))
-    return out
-
-
-def _space_oracle_answers(sp):
-    return kappa_space_bruteforce(sp), lambda_space_oracle(sp)
-
-
-def test_batched_space_oracles_keep_value_and_witness():
-    for sp in _oracle_spaces():
-        assert kappa_space_bruteforce(sp) == _kappa_space_bruteforce_reference(sp), sp
-        assert lambda_space_oracle(sp) == _lambda_space_oracle_reference(sp), sp
-
-
-@pytest.mark.parametrize("chunk", [1, 2000])
-def test_space_oracles_do_not_depend_on_chunk_size(monkeypatch, chunk):
-    # 2000 entries hold 2 to 33 candidates on these levels, fewer than a level
-    spaces = [space_from_graph(g, 3) for g in (graph_from_mask(4, 0b011111), cycle_graph(4), cycle_graph(5))]
-    want = [_space_oracle_answers(sp) for sp in spaces]
-    monkeypatch.setattr(altspace, "_ADJOINT_CHUNK", chunk)
-    assert [_space_oracle_answers(sp) for sp in spaces] == want
 
 
 # the guard on the number of lines: kappa_space, lambda_space, delta_space and is_fully_connected

@@ -22,7 +22,7 @@ from blt.bilinear import (
     quotient_map,
     restrict_map,
 )
-from blt.graphs import all_labeled_graphs, complete_graph, cycle_graph, disjoint_union, path_graph
+from blt.graphs import all_labeled_graphs, complete_graph, cycle_graph, disjoint_union, graph_from_mask, path_graph
 
 
 def k2_map(q=3):
@@ -228,14 +228,28 @@ def _random_maps():
     return out
 
 
+def _random_n5_maps():
+    """map_from_space of the n = 5 spaces among 30 seeded random spaces, all at
+    q = 3 and m <= 4."""
+    rng = np.random.default_rng(47)
+    out = []
+    for k in range(30):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(0, min(4, n * (n - 1) // 2) + 1))
+        sp = random_alt_space(n, m, (3, 5)[k % 2] if n < 5 else 3, rng)
+        if n == 5:
+            out.append(map_from_space(sp))
+    return out
+
+
 GRAPH_MAPS = [
     map_from_space(space_from_graph(g, 3)) for n in (2, 3, 4) for g in all_labeled_graphs(n) if g.m < 6
 ]
 
 
 def test_batched_map_searches_keep_value_and_witness():
-    maps = GRAPH_MAPS + _random_maps()
-    assert {phi.n for phi in maps} == {1, 2, 3, 4} and 0 in {phi.m for phi in maps}
+    maps = GRAPH_MAPS + _random_maps() + _random_n5_maps()
+    assert {phi.n for phi in maps} == {1, 2, 3, 4, 5} and 0 in {phi.m for phi in maps}
     assert any(phi.m > 0 and not is_surjective(phi) for phi in maps)
     for phi in maps:
         assert kappa_map(phi) == _kappa_map_reference(phi), phi
@@ -247,7 +261,8 @@ def test_batched_map_searches_keep_value_and_witness():
 @pytest.mark.parametrize("chunk", [1, 2000])
 def test_map_searches_do_not_depend_on_chunk_size(monkeypatch, chunk):
     # 2000 entries hold 2 to 33 candidates on these levels, fewer than a level
-    maps = [map_from_space(space_from_graph(g, 3)) for g in (cycle_graph(4), path_graph(4))]
+    graphs = (cycle_graph(4), path_graph(4), cycle_graph(5), graph_from_mask(4, 0b011111))
+    maps = [map_from_space(space_from_graph(g, 3)) for g in graphs]
     maps += [GRAPH_MAPS[-1]] + _random_maps()[::5]
     want = [(kappa_map(phi), lambda_map(phi)) for phi in maps]
     monkeypatch.setattr(altspace, "_ADJOINT_CHUNK", chunk)

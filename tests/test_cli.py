@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from blt import altspace, cli, harness
+from blt import altspace, cli, group, harness
 from blt.harness import VerifyConfig, VerifyReport
 
 K2 = "2 1\n1 2\n"
@@ -373,6 +373,20 @@ def test_verify_counterexample(capsys):
     assert payload["lambda"] == 2
     assert payload["separation"] is True
     assert payload["group"]["separation"] is True
+
+
+def test_verify_counterexample_group_rung_runs_at_group_level(monkeypatch, capsys):
+    # the fast route is commutator_map then the map searches: the map rung again
+    def map_search(*args, **kwargs):
+        raise AssertionError("the group rung ran a map search")
+
+    monkeypatch.setattr(group, "kappa_map", map_search)
+    monkeypatch.setattr(group, "lambda_map", map_search)
+    code, out, _ = run(capsys, "verify", "--counterexample", "--threads", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["group"]["separation"] is True
+    assert (payload["group"]["kappa"], payload["group"]["lambda"]) == (3, 2)
 
 
 def test_unknown_command_usage_error(capsys):

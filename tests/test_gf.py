@@ -1,12 +1,16 @@
 """Field arithmetic, RREF, subspace enumeration."""
 
+import ast
+import re
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blt
 from blt import gf
 
 
@@ -451,3 +455,20 @@ def test_gaussian_binomial_recurrence(n, k, q):
         if k == 0:
             rhs = 1
         assert lhs == rhs
+
+
+def test_budgets_are_the_readme_guards_list_and_all_read():
+    budgets = {name for name, value in vars(gf).items() if "GUARD" in name and isinstance(value, int)}
+    budgets.add("MAX_N_CAP")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\nGuards:", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^- `([A-Z_]+) = ", section, flags=re.M)) == budgets
+    # a budget whose search is gone is read nowhere but its own definition
+    read = set()
+    for path in Path(blt.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert budgets - read == set()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blt import gf, group
-from blt.altspace import GuardExceeded, kappa_gt_lambda_instance, random_alt_space, space_from_graph
+from blt.altspace import GuardExceeded, degree_vector, kappa_gt_lambda_instance, random_alt_space, space_from_graph
 from blt.bilinear import map_from_space
 from blt.graphs import (
     Graph,
@@ -27,7 +27,6 @@ from blt.group import (
     commutator_subgroup,
     decomposition_factors,
     deg_element,
-    deg_element_by_rank,
     delta_group,
     format_element,
     group_from_graph,
@@ -162,13 +161,16 @@ def test_deg_element_frozen(P27):
 
 
 def test_deg_element_matches_rank_method():
-    P = group_from_graph(cycle_graph(4), 3)
+    # the centralizer count against rank(phi(v_g, .)) on the span of phi
+    groups = [group_from_graph(cycle_graph(4), 3)] + [P for _, P in _equivalence_groups() if P.p == 5]
+    assert len(groups) == 8
     rng = np.random.default_rng(9)
-    for _ in range(15):
-        v = rng.integers(0, 3, size=4)
-        u = rng.integers(0, 3, size=4)
-        g = P.element(v, u)
-        assert deg_element(P, g) == deg_element_by_rank(P, g)
+    for P in groups:
+        for _ in range(15):
+            v = rng.integers(0, P.p, size=P.n)
+            u = rng.integers(0, P.p, size=P.m)
+            g = P.element(v, u)
+            assert deg_element(P, g) == degree_vector(P.phi.span(), g.v), (P, g)
 
 
 def test_deg_independent_of_central_part():
