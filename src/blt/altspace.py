@@ -71,6 +71,11 @@ capped ranks of the flat stacks B_U A, then the degrees of every line of U.
 A query pays only for what it returns: kappa_space stops at the first level
 that reaches 0 and reads its witness W = U + U^perp off one elimination, and
 LambdaResult builds its vanishing subspace on first read.
+
+A space, a bilinear map and a group's map are each one stack of alternating
+matrices, frozen by gf.frozen: alternating_stack validates it, stack_tensor
+gives its tensor, matrices_to_json and matrices_from_json write and read it.
+The s x t blocks of the kappa > lambda construction are plain stacks.
 """
 
 from __future__ import annotations
@@ -94,8 +99,30 @@ _ADJOINT_CHUNK = 2**15  # int64 entries in one chunk of first_decomposable's con
 _FULLCONN_CELLS = 2**20  # pair cells in one row block of is_fully_connected
 
 
-def is_alternating(mat: np.ndarray, q: int) -> bool:
-    return bool(((mat + mat.T) % q == 0).all() and (np.diag(mat) % q == 0).all())
+def is_alternating(mats: np.ndarray, q: int) -> bool:
+    """Is every matrix of mats (one n x n matrix or a stack) alternating mod q?"""
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    return bool(((mats + np.swapaxes(mats, -1, -2)) % q == 0).all() and (diag % q == 0).all())
+
+
+def alternating_stack(mats, n: int, q: int) -> np.ndarray:
+    """mats as an (m, n, n) int64 stack of residues, checked alternating: the
+    one validation of both from_matrices; every failure is a ValueError."""
+    arr = gf.as_residues(mats, q)
+    if arr.size == 0:
+        arr = arr.reshape(0, n, n)
+    if arr.ndim != 3 or arr.shape[1:] != (n, n):
+        raise ValueError(f"expected a stack of {n} x {n} matrices")
+    if not is_alternating(arr, q):
+        raise ValueError("matrix is not alternating (need A^T = -A mod q)")
+    return arr
+
+
+def stack_tensor(mats: tuple, n: int) -> np.ndarray:
+    """Read-only (m, n, n) int64 array of m frozen matrices: a space's or a map's tensor."""
+    t = np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
+    t.setflags(write=False)
+    return t
 
 
 @dataclass(frozen=True)
@@ -113,18 +140,9 @@ class AltMatrixSpace:
 
     @classmethod
     def from_matrices(cls, mats, n: int, q: int) -> "AltMatrixSpace":
-        arr = gf.as_residues(mats, q)
-        if arr.size == 0:
-            arr = arr.reshape(0, n, n)
-        if arr.ndim != 3 or arr.shape[1:] != (n, n):
-            raise ValueError(f"expected a stack of {n} x {n} matrices")
-        for A in arr:
-            if not is_alternating(A, q):
-                raise ValueError("matrix is not alternating (need A^T = -A mod q)")
-        vecs = arr.reshape(len(arr), n * n)
-        R, r, _ = gf.rref(vecs, q)
-        mats_canon = R[:r].reshape(r, n, n)
-        return cls(n, q, tuple(tuple(tuple(int(x) for x in row) for row in A) for A in mats_canon))
+        arr = alternating_stack(mats, n, q)
+        R, r, _ = gf.rref(arr.reshape(len(arr), n * n), q)
+        return cls(n, q, gf.frozen(R[:r].reshape(r, n, n)))
 
     @classmethod
     def zero(cls, n: int, q: int) -> "AltMatrixSpace":
@@ -136,11 +154,7 @@ class AltMatrixSpace:
 
     @cached_property
     def tensor(self) -> np.ndarray:
-        if not self.basis:
-            return np.zeros((0, self.n, self.n), dtype=np.int64)
-        t = np.array(self.basis, dtype=np.int64)
-        t.setflags(write=False)
-        return t
+        return stack_tensor(self.basis, self.n)
 
     @cached_property
     def _scans(self) -> dict:
@@ -206,43 +220,6 @@ class AltMatrixSpace:
 
 
 @dataclass(frozen=True)
-class GeneralMatrixSpace:
-    """Subspace of s x t matrices over F_q, canonical RREF basis of vecs."""
-
-    s: int
-    t: int
-    q: int
-    basis: tuple
-
-    @classmethod
-    def from_matrices(cls, mats, s: int, t: int, q: int) -> "GeneralMatrixSpace":
-        arr = gf.as_residues(mats, q)
-        if arr.size == 0:
-            arr = arr.reshape(0, s, t)
-        if arr.ndim != 3 or arr.shape[1:] != (s, t):
-            raise ValueError(f"expected a stack of {s} x {t} matrices")
-        vecs = arr.reshape(len(arr), s * t)
-        R, r, _ = gf.rref(vecs, q)
-        mats_canon = R[:r].reshape(r, s, t)
-        return cls(s, t, q, tuple(tuple(tuple(int(x) for x in row) for row in A) for A in mats_canon))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def tensor(self) -> np.ndarray:
-        if not self.basis:
-            return np.zeros((0, self.s, self.t), dtype=np.int64)
-        t = np.array(self.basis, dtype=np.int64)
-        t.setflags(write=False)
-        return t
-
-    def __repr__(self):
-        return f"GeneralMatrixSpace(s={self.s}, t={self.t}, q={self.q}, dim={self.dim})"
-
-
-@dataclass(frozen=True)
 class OrthWitness:
     """A direct sum split F^n = U + V with u^t A v = 0 for the whole space."""
 
@@ -281,13 +258,8 @@ def space_from_graph(g: Graph, q: int) -> AltMatrixSpace:
     so dim = number of edges.
     """
     field(q)
-    basis = []
-    for i, j in g.sorted_edges():
-        A = [[0] * g.n for _ in range(g.n)]
-        A[i][j] = 1
-        A[j][i] = q - 1
-        basis.append(tuple(map(tuple, A)))
-    return AltMatrixSpace(g.n, q, tuple(basis))
+    mats = [elementary_alt(g.n, i, j, q) for i, j in g.sorted_edges()]
+    return AltMatrixSpace(g.n, q, gf.frozen(np.array(mats, dtype=np.int64).reshape(len(mats), g.n, g.n)))
 
 
 def elementary_alt(n: int, i: int, j: int, q: int) -> np.ndarray:
@@ -745,9 +717,10 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     Only the kept U reach _cut_ranks_for_u, which ranks the cut of every
     complement V.
 
-    The witness is the first split in canonical order (b ascending, then U in
-    subspace_matrices order, then V in complement_matrices order) whose cut
-    dimension is lambda, and it is recorded during the one search.  A U that
+    For lambda >= 1 the witness is the first split in canonical order (b
+    ascending, then U in subspace_matrices order, then V in
+    complement_matrices order) whose cut dimension is lambda, and it is
+    recorded during the one search.  A U that
     the filter skips has cut >= its bound >= the best of the moment it is
     passed over (the level start or a later drop), and a U scanned before a
     drop has minimum cut >= the best of that moment; so every U before the U
@@ -756,6 +729,12 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     its complements is its first V.  With no drop, lambda = delta, and the
     first line of degree delta (the delta_space witness) comes before every
     split with b >= 2.
+
+    At lambda = 0 the witness is is_orth_decomposable's split: U is the
+    first U in canonical order that has a split, one with U + U^perp = F^n,
+    but V is the greedy complement of U cap U^perp inside U^perp
+    (Subspace.complement_in), which need not be the first V in
+    complement_matrices order.
     """
     n, q = space.n, space.q
     if n < 2:
@@ -836,15 +815,15 @@ def is_fully_connected(space: AltMatrixSpace, *, force: bool = False):
     return True, None
 
 
-def is_fully_connected_rect(space: GeneralMatrixSpace):
-    """Rectangular variant: all pairs of nonzero u in F^s, v in F^t connected."""
-    s, t, q = space.s, space.t, space.q
+def is_fully_connected_rect(mats: np.ndarray, q: int):
+    """Rectangular variant for a (d, s, t) stack: all pairs of nonzero u in F^s, v in F^t connected."""
+    d, s, t = mats.shape
     lu = gf.projective_lines(s, q)
     lv = gf.projective_lines(t, q)
-    if space.dim == 0:
+    if d == 0:
         return False, (np.array(lu[0]), np.array(lv[0]))
     hit = np.zeros((len(lu), len(lv)), dtype=bool)
-    for B in space.tensor:
+    for B in mats:
         hit |= ((lu @ B @ lv.T) % q) != 0
     if hit.all():
         return True, None
@@ -910,9 +889,10 @@ def companion_matrix(coeffs, q: int) -> np.ndarray:
     return C
 
 
-def field_ext_full_space(s: int, q: int) -> GeneralMatrixSpace:
+def field_ext_full_space(s: int, q: int) -> np.ndarray:
     """The regular representation of F_{q^s}: a fully connected s x s space
-    of dimension s in which every nonzero member is invertible."""
+    of dimension s in which every nonzero member is invertible, as the
+    (s, s, s) int64 stack of its canonical RREF basis."""
     field(q)
     if s < 1:
         raise ValueError("extension degree must be >= 1")
@@ -920,22 +900,19 @@ def field_ext_full_space(s: int, q: int) -> GeneralMatrixSpace:
     powers = [np.eye(s, dtype=np.int64)]
     for _ in range(s - 1):
         powers.append((powers[-1] @ C) % q)
-    # B_i has columns C_1 e_i, ..., C_s e_i
-    mats = [np.stack([P[:, i] for P in powers], axis=1) for i in range(s)]
-    return GeneralMatrixSpace.from_matrices(np.array(mats), s, s, q)
+    mats = np.array(powers).transpose(2, 1, 0)  # B_i has columns C_1 e_i, ..., C_s e_i
+    return gf.rref(mats.reshape(s, s * s), q)[0].reshape(s, s, s)
 
 
-def _rect_full_space(s: int, t: int, q: int) -> GeneralMatrixSpace:
-    """Fully connected s x t space of dimension max(s, t): powers of the
-    degree-max(s,t) companion matrix, truncated to the first s rows and
-    first t columns."""
+def _rect_full_space(s: int, t: int, q: int) -> np.ndarray:
+    """Fully connected s x t space of dimension max(s, t), as a (max(s, t),
+    s, t) stack: powers of the degree-max(s,t) companion matrix, truncated
+    to the first s rows and first t columns."""
     r = max(s, t)
-    sq = field_ext_full_space(r, q)
-    mats = sq.tensor[:, :s, :t]
-    out = GeneralMatrixSpace.from_matrices(mats, s, t, q)
-    if out.dim != r:
+    mats = field_ext_full_space(r, q)[:, :s, :t]
+    if gf.rank_gf(mats.reshape(r, s * t), q) != r:
         raise AssertionError(f"the truncated {s} x {t} space must keep dimension {r}")
-    return out
+    return mats
 
 
 def kappa_gt_lambda_instance(s: int, t: int, q: int) -> AltMatrixSpace:
@@ -949,18 +926,15 @@ def kappa_gt_lambda_instance(s: int, t: int, q: int) -> AltMatrixSpace:
     """
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2 so that dim B < s + t - 1")
-    rect = _rect_full_space(s, t, q)
     n = s + t
     mats = []
-    for B in rect.tensor:
+    for B in _rect_full_space(s, t, q):
         A = np.zeros((n, n), dtype=np.int64)
         A[:s, s:] = B
         A[s:, :s] = (-B.T) % q
         mats.append(A)
-    for i, j in combinations(range(s), 2):
-        mats.append(elementary_alt(n, i, j, q))
-    for i, j in combinations(range(t), 2):
-        mats.append(elementary_alt(n, s + i, s + j, q))
+    mats += [elementary_alt(n, i, j, q) for i, j in combinations(range(s), 2)]
+    mats += [elementary_alt(n, i, j, q) for i, j in combinations(range(s, n), 2)]
     return AltMatrixSpace.from_matrices(np.array(mats), n, q)
 
 
@@ -1001,12 +975,13 @@ def random_isometry_image(space: AltMatrixSpace, seed: int):
 
 
 def space_to_json(space: AltMatrixSpace) -> str:
-    payload = {
-        "q": space.q,
-        "n": space.n,
-        "matrices": [[list(row) for row in A] for A in space.basis],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    return matrices_to_json("matrices", space.basis, q=space.q, n=space.n)
+
+
+def matrices_to_json(stack: str, mats: tuple, **scalars) -> str:
+    """The JSON object {**scalars, stack: mats}, keys sorted, one entry a line:
+    the one writer behind space_to_json, map_to_json and group_to_json."""
+    return json.dumps({**scalars, stack: mats}, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
 def matrices_from_json(text: str, kind: str, modulus: str, stack: str, count: Optional[str] = None):

@@ -31,7 +31,6 @@ the exact tests differ.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -41,11 +40,13 @@ import numpy as np
 from . import gf
 from .altspace import (
     AltMatrixSpace,
+    alternating_stack,
     first_decomposable,
     first_restriction,
-    is_alternating,
     is_orth_decomposable,
     matrices_from_json,
+    matrices_to_json,
+    stack_tensor,
 )
 from .gf import Subspace, check_guard, field, subspace_matrices
 
@@ -65,15 +66,7 @@ class AltBilinearMap:
 
     @classmethod
     def from_matrices(cls, mats, n: int, q: int) -> "AltBilinearMap":
-        arr = gf.as_residues(mats, q)
-        if arr.size == 0:
-            arr = arr.reshape(0, n, n)
-        if arr.ndim != 3 or arr.shape[1:] != (n, n):
-            raise ValueError(f"expected a stack of {n} x {n} matrices")
-        for A in arr:
-            if not is_alternating(A, q):
-                raise ValueError("matrix is not alternating (need A^T = -A mod q)")
-        return cls(n, q, tuple(tuple(tuple(int(x) for x in row) for row in A) for A in arr))
+        return cls(n, q, gf.frozen(alternating_stack(mats, n, q)))
 
     @property
     def m(self) -> int:
@@ -81,11 +74,7 @@ class AltBilinearMap:
 
     @cached_property
     def tensor(self) -> np.ndarray:
-        if not self.mats:
-            return np.zeros((0, self.n, self.n), dtype=np.int64)
-        t = np.array(self.mats, dtype=np.int64)
-        t.setflags(write=False)
-        return t
+        return stack_tensor(self.mats, self.n)
 
     def __call__(self, v, u) -> np.ndarray:
         v = gf.as_residues(v, self.q)
@@ -201,13 +190,7 @@ def lambda_map(phi: AltBilinearMap, *, force: bool = False) -> Tuple[int, Subspa
 
 
 def map_to_json(phi: AltBilinearMap) -> str:
-    payload = {
-        "q": phi.q,
-        "n": phi.n,
-        "codomain_dim": phi.m,
-        "matrices": [[list(row) for row in A] for A in phi.mats],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    return matrices_to_json("matrices", phi.mats, q=phi.q, n=phi.n, codomain_dim=phi.m)
 
 
 def map_from_json(text: str) -> AltBilinearMap:

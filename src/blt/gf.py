@@ -132,8 +132,16 @@ def _inverse_table(q: int) -> np.ndarray:
 def as_residues(data, q: int) -> np.ndarray:
     """Copy input into an int64 array with entries reduced mod q."""
     field(q)
-    arr = np.array(data, dtype=np.int64) % q
-    return arr
+    return np.array(data, dtype=np.int64) % q
+
+
+def frozen(arr: np.ndarray) -> tuple:
+    """A 2-d or 3-d integer array as nested tuples of Python ints: the
+    hashable form of Subspace rows and of the matrices of spaces and maps."""
+    out = arr.tolist()
+    if arr.ndim == 3:
+        return tuple(tuple(map(tuple, A)) for A in out)
+    return tuple(map(tuple, out))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +237,7 @@ class Subspace:
         if arr.ndim != 2 or arr.shape[1] != n:
             raise ValueError(f"vectors must have ambient dimension {n}")
         R, r, _ = rref(arr, q)
-        return cls(n, q, tuple(tuple(int(x) for x in row) for row in R[:r]))
+        return cls(n, q, frozen(R[:r]))
 
     @classmethod
     def zero(cls, n: int, q: int) -> "Subspace":
@@ -249,9 +257,7 @@ class Subspace:
         return len(self.rows)
 
     def mat(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.n), dtype=np.int64)
-        return np.array(self.rows, dtype=np.int64)
+        return np.array(self.rows, dtype=np.int64).reshape(self.dim, self.n)
 
     def contains(self, vector) -> bool:
         v = as_residues(vector, self.q)

@@ -41,7 +41,6 @@ of the restricted map there), and the two must agree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Tuple
@@ -49,7 +48,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from . import gf
-from .altspace import first_restriction, matrices_from_json
+from .altspace import first_restriction, matrices_from_json, matrices_to_json
 from .bilinear import AltBilinearMap, is_surjective, kappa_map, lambda_map
 from .gf import Subspace, check_guard, field, rank_batched, reduce_mod_rowspace, subspace_matrices
 
@@ -507,13 +506,7 @@ def lambda_group(
 
 
 def group_to_json(P: BaerGroup) -> str:
-    payload = {
-        "p": P.p,
-        "n": P.n,
-        "m": P.m,
-        "phi": [[list(row) for row in A] for A in P.phi.mats],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    return matrices_to_json("phi", P.phi.mats, p=P.p, n=P.n, m=P.m)
 
 
 def group_from_json(text: str) -> BaerGroup:

@@ -10,7 +10,7 @@ pass/fail line per item.  Shared sweeps live in module-scoped fixtures.
  3. map vs group: structured group searches agree with the map level on
     every labeled graph with 2..3 vertices, p = 3
  4. lambda two ways: the pruned space search equals the literal codomain
-    search lambda_map on 100+ instances
+    search lambda_map on 110 seeded random spaces beyond criterion 2's
  5. degree bounds: kappa <= delta and lambda <= delta on every criterion-1
     space; element degrees stay below n on every criterion-3 group
  6. separation: the block construction is fully connected with kappa = 3
@@ -146,22 +146,11 @@ def test_criterion_03_map_vs_group(small_graph_chain):
 
 
 def test_criterion_04_lambda_two_ways():
-    checked = 0
-    for n in (2, 3, 4):
-        for mask in all_masks(n):
-            g = graph_from_mask(n, mask)
-            if len(g.edges) > 4:
-                continue
-            sp = space_from_graph(g, 3)
-            assert lambda_space(sp).value == lambda_map(map_from_space(sp))[0]
-            checked += 1
-    seed = 4000
-    while checked < 110:
+    # the graph spaces are criterion 2's; these are seeded spaces it does not check
+    for seed in range(4000, 4110):
         sp = seeded_space(seed)
         assert lambda_space(sp).value == lambda_map(map_from_space(sp))[0], f"seed {seed}"
-        checked += 1
-        seed += 1
-    print(f"criterion 4: PASS - {checked} instances, lambda_space == lambda_map")
+    print("criterion 4: PASS - 110 seeded spaces, lambda_space == lambda_map")
 
 
 def test_criterion_05_degree_bounds(space_sweep, small_graph_chain):
@@ -193,12 +182,12 @@ def test_criterion_06_separation_survives_the_chain():
 def test_criterion_07_fully_connected_constructor():
     for s, q in ((2, 3), (3, 3), (2, 5)):
         sq = field_ext_full_space(s, q)
-        assert sq.dim == s
-        flat = sq.tensor.reshape(s, -1)
+        flat = sq.reshape(s, -1)
+        assert rank_gf(flat, q) == s
         for coeffs in all_vectors(s, q)[1:]:
             member = (coeffs @ flat).reshape(s, s) % q
             assert rank_gf(member, q) == s, (s, q, coeffs)
-        ok, _ = is_fully_connected_rect(sq)
+        ok, _ = is_fully_connected_rect(sq, q)
         assert ok, (s, q)
     print("criterion 7: PASS - (s,q) in {(2,3), (3,3), (2,5)}, all members invertible")
 

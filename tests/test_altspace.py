@@ -813,6 +813,17 @@ def test_lambda_witness_pinned(sp, U, V):
     assert cut_dim(sp, res.U, res.V) == res.value
 
 
+def test_lambda_zero_witness_is_the_decomposability_split():
+    # at lambda = 0, V is the greedy complement of U cap U^perp inside
+    # U^perp, not the first complement of U in canonical order
+    sp = AltMatrixSpace.from_matrices([[[0, 1, 0], [2, 0, 1], [0, 2, 0]]], 3, 3)
+    res = lambda_space(sp)
+    assert (res.value, res.U.rows, res.V.rows) == (0, ((1, 0, 1),), ((1, 0, 0), (0, 1, 0)))
+    w = is_orth_decomposable(sp)[1]
+    assert (w.U, w.V) == (res.U, res.V)
+    assert _first_split_at(sp, 0) == (res.U, _span_of_units(3, (1, 2)))
+
+
 @pytest.mark.parametrize(
     "g,expected",
     [
@@ -865,12 +876,12 @@ def test_fully_connected():
 @pytest.mark.parametrize("s,q", [(1, 3), (2, 3), (3, 3), (2, 5)])
 def test_field_ext_every_member_invertible(s, q):
     sq = field_ext_full_space(s, q)
-    assert sq.dim == s
+    assert sq.shape == (s, s, s) and gf.rank_gf(sq.reshape(s, -1), q) == s
     coeffs = gf.all_vectors(s, q)[1:]  # every nonzero combination
-    members = np.tensordot(coeffs, sq.tensor, axes=(1, 0)) % q
+    members = np.tensordot(coeffs, sq, axes=(1, 0)) % q
     ranks = gf.rank_batched(members, q)
     assert (ranks == s).all()
-    assert is_fully_connected_rect(sq)[0]
+    assert is_fully_connected_rect(sq, q)[0]
 
 
 def test_kappa_gt_lambda_instance():
