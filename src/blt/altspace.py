@@ -39,7 +39,8 @@ restriction walk on top of it, first_restriction, and differ only in their
 exact tests.
 
 Level scans and line degrees are computed once per space object and shared
-by kappa, lambda, delta and decomposability.  So is the row table: the rows
+by kappa, lambda, delta, decomposability and full connectivity, which is
+delta = n - 1 (is_fully_connected).  So is the row table: the rows
 l^t A_k of every line representative l, built on first use in the narrow
 integer width of gf._work_dtype.  Every RREF row is a line representative,
 so a level is read only through gf.subspace_row_lines, the int32 line
@@ -96,7 +97,6 @@ from .graphs import Graph
 
 _CHUNK = 2**18  # entries in one gathered stack or bit-table block of the level scans (_perp_bits, _dim_scan, _level_bounds, _cut_ranks_for_u)
 _ADJOINT_CHUNK = 2**15  # int64 entries in one chunk of first_decomposable's constraint rows
-_FULLCONN_CELLS = 2**20  # pair cells in one row block of is_fully_connected
 
 
 def is_alternating(mats: np.ndarray, q: int) -> bool:
@@ -370,8 +370,8 @@ def _line_degrees(space: AltMatrixSpace) -> np.ndarray:
 
     For alternating A the row u^t A is -(A u)^t, so deg(u) = rank(M_u): the
     degrees are the r1 of the level-1 scan, the one level ranked by
-    elimination; they also choose the block of _perp_bits that needs
-    products.
+    elimination; they also decide is_fully_connected and choose the block
+    of _perp_bits that needs products.
     """
     return _dim_scan(space, 1)[0]
 
@@ -609,10 +609,12 @@ def delta_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, np.
 
 
 def _cut_ranks_for_u(space: AltMatrixSpace, u_rows: np.ndarray, cap: int):
-    """Ranks of the cut matrices for every complement of U, complement order.
+    """(ranks, Vs): every complement Vs of U, complement order, and the rank
+    of the cut matrix of each, capped at cap.
 
     The rows u^t A_k of the RREF basis u_rows come from the row table; the
     cuts of a chunk of complements V are one matmul P V^t in the table dtype.
+    lambda_space reads its witness V off Vs, so no U's complements are built twice.
     """
     n, q, m = space.n, space.q, space.dim
     b = len(u_rows)
@@ -626,7 +628,7 @@ def _cut_ranks_for_u(space: AltMatrixSpace, u_rows: np.ndarray, cap: int):
         chunk = Vs[lo : lo + step]
         cuts = (P @ chunk.transpose(0, 2, 1).astype(T.dtype)).reshape(len(chunk), m, -1)
         out[lo : lo + step] = rank_batched(cuts, q, cap=cap)
-    return out
+    return out, Vs
 
 
 def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
@@ -757,14 +759,13 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
             for u_idx in np.flatnonzero(bound < best):
                 if bound[u_idx] >= best:
                     continue  # best dropped earlier in this level
-                ranks = _cut_ranks_for_u(space, lines[rows[u_idx]], cap=best)
+                ranks, Vs = _cut_ranks_for_u(space, lines[rows[u_idx]], cap=best)
                 j = int(ranks.argmin())
                 if ranks[j] < best:
-                    best = int(ranks[j])
-                    u_rows = lines[rows[u_idx]]
-                    v_rows = gf.complement_matrices(u_rows, q)[j]
-                    if best <= 1:
-                        break
+                    best, u_rows, v_rows = int(ranks[j]), lines[rows[u_idx]], Vs[j].copy()
+                del Vs  # freed before the next U's complements are built
+                if best <= 1:
+                    break
             if best <= 1:
                 break
     U = Subspace.from_vectors(u_rows, n, q)
@@ -788,31 +789,28 @@ def _cut_kernel(space: AltMatrixSpace, U: Subspace, V: Subspace) -> AltMatrixSpa
 
 
 def is_fully_connected(space: AltMatrixSpace, *, force: bool = False):
-    """(flag, None or a failing pair (u, v)): are all pairs of independent
+    """(flag, None or a failing pair (u, x)): are all pairs of independent
     vectors connected by some matrix of the space?
 
-    The line pairs are checked in row blocks of about _FULLCONN_CELLS cells,
-    and the first block with a miss ends the search; the pair returned is
-    the first miss in row-major line order."""
+    Exactly when delta = n - 1, read off the level-1 scan: u^perp is the
+    kernel of the rows u^t A_k, of rank deg(u), and u^t A u = 0 puts u in
+    it, so some x independent of u lies in u^perp iff deg(u) < n - 1.  The
+    pair is the first miss in row-major line order: u is the first line of
+    degree below n - 1, x the first other line of u^perp, from one product
+    of u's row-table entry with projective_lines.
+    """
     n, q = space.n, space.q
     if n == 1:
         return True, None
     gf.check_lines_guard(n, q, force)
-    lines = gf.projective_lines(n, q)
-    if space.dim == 0:
-        return False, (np.array(lines[0]), np.array(lines[1]))
-    L = len(lines)
-    step = max(1, _FULLCONN_CELLS // L)
-    for lo in range(0, L, step):
-        block = lines[lo : lo + step]
-        hit = np.zeros((len(block), L), dtype=bool)
-        for A in space.tensor:
-            hit |= (block @ A @ lines.T) % q != 0
-        hit[np.arange(len(block)), lo + np.arange(len(block))] = True
-        if not hit.all():
-            i, j = np.argwhere(~hit)[0]
-            return False, (np.array(lines[lo + i]), np.array(lines[j]))
-    return True, None
+    low = np.flatnonzero(_line_degrees(space) < n - 1)
+    if not low.size:
+        return True, None
+    i = int(low[0])
+    T, lines = space._row_table, gf.projective_lines(n, q)
+    in_perp = ~gf._mod(T[i] @ lines.T.astype(T.dtype), q).any(axis=0)
+    in_perp[i] = False
+    return False, (np.array(lines[i]), np.array(lines[int(in_perp.argmax())]))
 
 
 def is_fully_connected_rect(mats: np.ndarray, q: int):

@@ -297,8 +297,9 @@ def test_gathered_stacks_equal_the_einsum_stacks(n, m, q):
             Us = gf.subspace_matrices(n, b, q)
             for i, cap in ((0, m), (len(Us) // 2, best), (len(Us) - 1, 1)):
                 u_rows = np.array(Us[i])
-                got = altspace._cut_ranks_for_u(sp, u_rows, cap=cap)
+                got, Vs = altspace._cut_ranks_for_u(sp, u_rows, cap=cap)
                 assert np.array_equal(got, _einsum_cut_ranks(sp, u_rows, cap)), (b, i, cap)
+                assert np.array_equal(Vs, gf.complement_matrices(u_rows, q)), (b, i, cap)
 
 
 def _random_bases(n, b, q, count, rng):
@@ -556,7 +557,7 @@ def _scan_answers(sp):
         if m:
             Us = gf.subspace_matrices(n, b, q)
             for i in (0, len(Us) // 2, len(Us) - 1):
-                out.append(altspace._cut_ranks_for_u(sp, np.array(Us[i]), cap=m).tolist())
+                out.append([r.tolist() for r in altspace._cut_ranks_for_u(sp, np.array(Us[i]), cap=m)])
     res = lambda_space(sp)
     out.append((kappa_space(sp), res.value, res.U, res.V, res.vanishing))
     return out
@@ -1267,10 +1268,7 @@ def _fully_connected_reference(space):
     return False, (np.array(lines[i]), np.array(lines[j]))
 
 
-@pytest.mark.parametrize("cells", [None, 1, 1000])
-def test_streamed_full_connectivity_returns_the_first_pair(monkeypatch, cells):
-    if cells is not None:
-        monkeypatch.setattr(altspace, "_FULLCONN_CELLS", cells)
+def test_streamed_full_connectivity_returns_the_first_pair():
     rng = np.random.default_rng(53)
     spaces = [
         space_from_graph(complete_graph(4), 3),
@@ -1288,6 +1286,42 @@ def test_streamed_full_connectivity_returns_the_first_pair(monkeypatch, cells):
             assert got[1] is None
         else:
             assert [p.tolist() for p in got[1]] == [p.tolist() for p in want[1]]
+
+
+def test_full_connectivity_is_delta_n_minus_1_on_every_graph_up_to_n5():
+    graphs = [g for n in range(2, 6) for g in all_labeled_graphs(n)]
+    assert len(graphs) == 1094
+    for g in graphs:
+        sp = space_from_graph(g, 3)
+        flag, pair = is_fully_connected(sp)
+        assert flag == g.is_complete() == (delta_space(sp)[0] == g.n - 1), g
+        if not flag:
+            u, x = pair
+            assert gf.rank_gf(np.array([u, x]), 3) == 2 and not ((u @ sp.tensor @ x) % 3).any(), g
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_full_connectivity_of_the_separation_family_matches_the_pair_table(q):
+    for s, t in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)):
+        sp = kappa_gt_lambda_instance(s, t, q)
+        assert is_fully_connected(sp) == _fully_connected_reference(sp) == (True, None), (s, t)
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), path_graph(5)], ids=["K5", "P5"])
+def test_full_connectivity_reads_the_cached_degrees_without_a_rank(monkeypatch, g):
+    sp = space_from_graph(g, 3)
+    delta_space(sp)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_fully_connected ranked a stack")
+
+    monkeypatch.setattr(altspace, "rank_batched", refuse)
+    flag, pair = is_fully_connected(sp)
+    if g.is_complete():
+        assert flag and pair is None
+    else:
+        u, x = pair
+        assert not flag and not ((u @ sp.tensor @ x) % 3).any()
 
 
 # property tests

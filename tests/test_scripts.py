@@ -25,13 +25,6 @@ def test_bench_rank_runs_every_shape():
     assert {"cores", "python", "numpy"} <= set(payload["machine"])
 
 
-def test_separation_demo_shows_the_gap_at_every_level():
-    out = _run("scripts/separation_demo.py")
-    assert out.returncode == 0, out.stderr
-    assert "kappa  = 3" in out.stdout and "lambda = 2" in out.stdout
-    assert "kappa > lambda holds in the group" in out.stdout
-
-
 def test_bench_trajectory_writes_medians_and_machine_facts(tmp_path):
     out = _run(str(ROOT / "scripts" / "bench_trajectory.py"), "--label", "smoke", "--seeds", "1",
                "--seconds", "2", "--workloads", "space-n6", cwd=tmp_path)
