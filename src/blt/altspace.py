@@ -27,8 +27,11 @@ every decomposable W arises that way, so
 
 subject to ker M_U not contained in U.  The n - 1 term is the degenerate
 convention: one-dimensional restrictions are zero spaces and zero spaces
-decompose.  The literal searches that cross-check these solvers are
-bilinear.kappa_map and bilinear.lambda_map, run on map_from_space(space).
+decompose.  One walk, _kappa_walk, finds this minimum and its first U; a
+space decomposes exactly when the walk reaches c = 0, and its split is one
+elimination (_orth_split).  The literal searches that cross-check these
+solvers are bilinear.kappa_map and bilinear.lambda_map, run on
+map_from_space(space).
 
 Those literal searches and the structured group.kappa_group share one
 candidate loop, first_decomposable: one batched rank per chunk gives each
@@ -69,9 +72,9 @@ counts that bound dim{B_U A} from below (the largest row degree, and
 m - C(n - b, 2), since the forms that B_U kills live on F^n / U), then the
 capped ranks of the flat stacks B_U A, then the degrees of every line of U.
 
-A query pays only for what it returns: kappa_space stops at the first level
-that reaches 0 and reads its witness W = U + U^perp off one elimination, and
-LambdaResult builds its vanishing subspace on first read.
+A query pays only for what it returns: the walk stops at the first level
+that reaches 0, kappa_space reads its witness W = U + U^perp off one
+elimination, and LambdaResult builds its vanishing subspace on first read.
 
 A space, a bilinear map and a group's map are each one stack of alternating
 matrices, frozen by gf.frozen: alternating_stack validates it, stack_tensor
@@ -382,31 +385,50 @@ def _perp_basis(space: AltMatrixSpace, u_rows: np.ndarray) -> np.ndarray:
     return gf.nullspace(M, space.q)
 
 
-def _orth_witness_from_u(space: AltMatrixSpace, u_rows: np.ndarray) -> OrthWitness:
+def _kappa_walk(space: AltMatrixSpace) -> Tuple[int, Optional[np.ndarray]]:
+    """(c, u_rows): the least valid c = r1 - r2 at levels b <= n/2, at most
+    n - 1, and the RREF rows of its first U in canonical order (None if no
+    U goes below n - 1).  U is valid when ker M_U is not inside U (n - r1 >
+    b - r2), so its split is nontrivial; only a strictly smaller c replaces
+    the kept U, and the walk stops at c = 0, which no later level beats."""
     n, q = space.n, space.q
-    U = Subspace.from_vectors(u_rows, n, q)
-    if space.dim == 0:
-        V = U.complement_in()
-        return OrthWitness(U, V)
-    perp = Subspace.from_vectors(_perp_basis(space, U.mat()), n, q)
-    core = U.intersect(perp)
-    V = core.complement_in(perp)
-    return OrthWitness(U, V)
+    best, best_u = n - 1, None
+    for b in range(1, n // 2 + 1):
+        if best == 0:
+            break
+        r1, r2 = _dim_scan(space, b)
+        c = np.where(n - r1 > b - r2, r1 - r2, n)
+        idx = int(c.argmin())
+        if c[idx] < best:
+            best = int(c[idx])
+            best_u = gf.projective_lines(n, q)[gf.subspace_row_lines(n, b, q)[idx]]
+    return best, best_u
+
+
+def _orth_split(space: AltMatrixSpace, u_rows: np.ndarray) -> OrthWitness:
+    """OrthWitness(U, V) for a U with U + U^perp = F^n, from its RREF rows.
+
+    V is the canonical rows of U^perp independent modulo U, read off the
+    pivot columns past b of [U; U^perp]^t: one elimination.  A combination
+    of U^perp rows lies in U iff it lies in U cap U^perp, so V is also
+    U.intersect(perp).complement_in(perp).  Both bases are RREF row subsets.
+    """
+    n, q, b = space.n, space.q, len(u_rows)
+    perp = _perp_basis(space, u_rows)
+    picks = [p - b for p in gf.rref(np.vstack([u_rows, perp]).T, q)[2] if p >= b]
+    return OrthWitness(Subspace(n, q, gf.frozen(u_rows)), Subspace(n, q, gf.frozen(perp[picks])))
 
 
 def is_orth_decomposable(space: AltMatrixSpace):
-    """(flag, witness).  Zero spaces decompose by convention; witness is a
-    genuine split when one exists (always for ambient dim >= 2)."""
-    n, q = space.n, space.q
-    if n == 1:
+    """(flag, witness): the kappa walk reaches c = 0 (r1 = r2 is U + U^perp =
+    F^n, and b < n passes its kernel test); the witness is _orth_split of the
+    walk's U.  Zero spaces decompose by convention; n = 1 has no split."""
+    c, u_rows = _kappa_walk(space)
+    if c:
+        return False, None
+    if u_rows is None:
         return True, None  # the only space is zero; no split of a 1-dim ambient
-    for b in range(1, n // 2 + 1):
-        r1, r2 = _dim_scan(space, b)
-        hits = np.nonzero(r1 == r2)[0]
-        if hits.size:
-            u_rows = gf.projective_lines(n, q)[gf.subspace_row_lines(n, b, q)[hits[0]]]
-            return True, _orth_witness_from_u(space, u_rows)
-    return False, None
+    return True, _orth_split(space, u_rows)
 
 
 def orth_decomposable_pairscan(space: AltMatrixSpace):
@@ -540,32 +562,17 @@ def first_restriction(A: np.ndarray, n: int, q: int, exact: Callable[[Subspace],
 def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Subspace]:
     """(kappa, W): smallest c with a decomposable restriction, dim W = n - c.
 
-    The levels b are scanned in ascending order and the first U of the
-    smallest c is kept; the scan stops once c reaches 0, since no later
-    level can go lower.  The restriction to W = U + U^perp decomposes along
-    U and a complement of U cap U^perp in U^perp, so W is the RREF of the
-    rows of U stacked on a basis of U^perp: one nullspace and one rref.
+    c and its first U come from _kappa_walk.  The restriction to W = U +
+    U^perp decomposes along _orth_split's (U, V), so W is the RREF of U's
+    rows stacked on a basis of U^perp: one nullspace and one rref.
     """
     n, q = space.n, space.q
     check_guard("n", n, gf.GUARD_N, force)
     gf.check_scan_guards(n, q, force)
-    lines = gf.projective_lines(n, q)
-    best = n - 1
-    best_u: Optional[np.ndarray] = None
-    for b in range(1, n // 2 + 1):
-        if best == 0:
-            break
-        r1, r2 = _dim_scan(space, b)
-        c = r1 - r2
-        valid = (n - r1) > (b - r2)  # ker M_U not inside U, so the split is nontrivial
-        c = np.where(valid, c, n)
-        idx = int(c.argmin())
-        if c[idx] < best:
-            best = int(c[idx])
-            best_u = lines[gf.subspace_row_lines(n, b, q)[idx]]
+    best, best_u = _kappa_walk(space)
     if best_u is None:
         # degenerate route only: restriction to a line is the zero space
-        return n - 1, Subspace.from_vectors(lines[:1], n, q)
+        return n - 1, Subspace.from_vectors(gf.projective_lines(n, q)[:1], n, q)
     W = Subspace.from_vectors(np.vstack([best_u, _perp_basis(space, best_u)]), n, q)
     if W.dim != n - best:
         raise AssertionError("the kappa witness must have dimension n - kappa")
@@ -732,11 +739,11 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     first line of degree delta (the delta_space witness) comes before every
     split with b >= 2.
 
-    At lambda = 0 the witness is is_orth_decomposable's split: U is the
-    first U in canonical order that has a split, one with U + U^perp = F^n,
-    but V is the greedy complement of U cap U^perp inside U^perp
-    (Subspace.complement_in), which need not be the first V in
-    complement_matrices order.
+    At lambda = 0 the witness is is_orth_decomposable's split, _orth_split
+    of the first U in canonical order with U + U^perp = F^n: V is the
+    canonical rows of U^perp that are independent modulo U, the greedy
+    complement of U cap U^perp inside U^perp, which need not be the first V
+    in complement_matrices order.
     """
     n, q = space.n, space.q
     if n < 2:

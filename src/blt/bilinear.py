@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -88,17 +88,9 @@ class AltBilinearMap:
         return f"AltBilinearMap(n={self.n}, q={self.q}, m={self.m})"
 
 
-def map_from_space(space: AltMatrixSpace, order: Optional[Sequence] = None) -> AltBilinearMap:
-    """The bilinear map of a matrix space, using its canonical basis or a
-    supplied basis (which must be an ordered basis of exactly that space)."""
-    if order is None:
-        return AltBilinearMap.from_matrices(space.tensor, space.n, space.q)
-    phi = AltBilinearMap.from_matrices(np.array(order), space.n, space.q)
-    if phi.m != space.dim or not is_surjective(phi):
-        raise ValueError("supplied matrices are not an ordered basis of the space")
-    if phi.span() != space:
-        raise ValueError("supplied matrices span a different space")
-    return phi
+def map_from_space(space: AltMatrixSpace) -> AltBilinearMap:
+    """The bilinear map of a matrix space, its canonical basis in order."""
+    return AltBilinearMap.from_matrices(space.tensor, space.n, space.q)
 
 
 def is_surjective(phi: AltBilinearMap) -> bool:

@@ -20,7 +20,7 @@ eliminates along the shorter side of each matrix, stores the stack
 column-major, never swaps rows (each column's first nonzero row is the pivot
 and cancels itself), and delays reduction mod q until a column is read, in
 the narrowest of int16/int32/int64 that provably holds (q-1)^2 * c + q for
-c columns.  scripts/bench_rank.py times it on fixed shapes.
+c columns.
 """
 
 from __future__ import annotations

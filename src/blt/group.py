@@ -6,7 +6,8 @@ phi: F_p^n x F_p^n -> F_p^m, the group lives on the set F_p^n + F_p^m with
     (v1, u1) o (v2, u2) = (v1 + v2, u1 + u2 + h * phi(v1, v2)),   h = (p+1)/2.
 
 Then |P| = p^(n+m), every element has order dividing p, [P,P] = {(0, u)} and
-Z(P) = {(v, u) : phi(v, .) = 0}, so P has class 2.
+Z(P) = {(v, u) : phi(v, .) = 0}, so P has class 2.  BaerGroup.law states
+the law once; multiply and lattice.small_group's Cayley table evaluate it.
 
 kappa(P) is the smallest s such that some regular subgroup S with
 |S / [S,S]| = p^(n-s) is centrally decomposable; lambda(P) is the smallest s
@@ -101,12 +102,16 @@ class BaerGroup:
             raise ValueError(f"element parts must have dims ({self.n}, {self.m})")
         return GroupElement(v, u)
 
+    def law(self, v1, u1, v2, u2):
+        """(v1 + v2, u1 + u2 + h phi(v1, v2)) mod p on integer coordinate
+        arrays whose leading axes broadcast: one pair, or a whole Cayley table."""
+        p, T = self.p, self.phi.tensor
+        cross = np.einsum("...i,kij,...j->...k", v1, T, v2)
+        return (v1 + v2) % p, (u1 + u2 + self._half * cross) % p
+
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        p = self.p
-        cross = self.phi(g.v, h.v)
-        v = tuple((a + b) % p for a, b in zip(g.v, h.v))
-        u = tuple((a + b + self._half * int(c)) % p for a, b, c in zip(g.u, h.u, cross))
-        return GroupElement(v, u)
+        v, u = self.law(np.array(g.v), np.array(g.u), np.array(h.v), np.array(h.u))
+        return GroupElement(tuple(v.tolist()), tuple(u.tolist()))
 
     def inverse(self, g: GroupElement) -> GroupElement:
         p = self.p

@@ -108,10 +108,6 @@ def iter_tasks(cfg: VerifyConfig) -> Iterator[Tuple[int, int]]:
             yield n, mask
 
 
-def count_tasks(cfg: VerifyConfig) -> int:
-    return sum((1 << (n * (n - 1) // 2)) - 1 for n in range(2, cfg.max_n + 1))
-
-
 def compute_row(n: int, mask: int, cfg: VerifyConfig) -> Tuple[dict, Dict[str, float]]:
     """One report row plus per-level wall-clock seconds."""
     g = graph_from_mask(n, mask)

@@ -1,12 +1,13 @@
 """Literal subgroup-lattice computations on explicit Cayley tables.
 
 Everything here works on a multiplication table and element indices; no
-structure of the groups beyond the table is used.  That makes this module a
-fully independent (and exponentially slower) oracle for the structured
-solvers in `group`: subgroups are enumerated by closure, commutator and
-centralizer subgroups by literal products, central decompositions by scanning
-subgroup pairs, and quotients by literal coset partitions.  It is meant for
-validation runs on groups of order at most a few hundred.
+structure of the groups beyond the table is used, and small_group fills the
+table from P's own law (BaerGroup.law, the law of multiply).  This makes the
+module a fully independent (and exponentially slower) oracle for the
+structured solvers in `group`: subgroups are enumerated by closure, commutator
+and centralizer subgroups by literal products, central decompositions by
+scanning subgroup pairs, and quotients by literal coset partitions.  It is
+meant for validation runs on groups of order at most a few hundred.
 
 The one shared convention: a cyclic (or trivial) group counts as centrally
 decomposable, mirroring the rank-1 convention of the structured path.
@@ -37,15 +38,12 @@ class SmallGroup:
 
 
 def small_group(P: BaerGroup, *, force: bool = False) -> SmallGroup:
-    """Materialize the full Cayley table of P."""
+    """Materialize the full Cayley table of P from BaerGroup.law."""
     check_guard("order", P.order, TABLE_GUARD_ORDER, force)
     n, m, p = P.n, P.m, P.p
     W = all_vectors(n + m, p)  # (v, u) in base-p counter order; row 0 is the identity
     V, U = W[:, :n], W[:, n:]
-    half = (p + 1) // 2
-    cross = np.einsum("ai,kij,bj->abk", V, P.phi.tensor, V) % p
-    v3 = (V[:, None, :] + V[None, :, :]) % p
-    u3 = (U[:, None, :] + U[None, :, :] + half * cross) % p
+    v3, u3 = P.law(V[:, None], U[:, None], V[None], U[None])  # [a, b] = a o b
     digits = np.concatenate([v3, u3], axis=2)
     powers = p ** np.arange(n + m - 1, -1, -1, dtype=np.int64)
     mul = (digits @ powers).astype(np.int64)

@@ -120,6 +120,38 @@ def test_decomposability_matches_pairscan():
             assert validate_orth_witness(sp, wit)
 
 
+def _kappa_walk_inputs():
+    """Every labeled graph on 2-5 vertices at q = 3, then seeded random spaces
+    with n = 2..5 (n <= 4 at q = 7) and m = 0..C(n, 2) at q in {3, 5, 7}."""
+    for n in range(2, 6):
+        for g in all_labeled_graphs(n):
+            yield space_from_graph(g, 3)
+    rng = np.random.default_rng(25)
+    for q in (3, 5, 7):
+        for n in range(2, 6 if q < 7 else 5):
+            for m in range(n * (n - 1) // 2 + 1):
+                yield random_alt_space(n, m, q, rng)
+
+
+def _greedy_split_reference(sp, U):
+    """V = U.intersect(perp).complement_in(perp), with U^perp from its definition."""
+    n, q = sp.n, sp.q
+    rows = np.einsum("bi,kij->bkj", U.mat(), sp.tensor).reshape(-1, n) % q
+    perp = gf.Subspace.from_vectors(gf.nullspace(rows, q), n, q)
+    return U.intersect(perp).complement_in(perp)
+
+
+def test_decomposability_is_kappa_zero_and_the_split_is_the_greedy_complement():
+    decomposable = 0
+    for sp in _kappa_walk_inputs():
+        dec, w = is_orth_decomposable(sp)
+        assert dec == (kappa_space(sp)[0] == 0), sp
+        if dec:
+            decomposable += 1
+            assert w.V == _greedy_split_reference(sp, w.U) and validate_orth_witness(sp, w), sp
+    assert decomposable > 100  # the reference is exercised, not vacuous
+
+
 @pytest.mark.parametrize(
     "g,expected",
     [

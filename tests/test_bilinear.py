@@ -61,13 +61,6 @@ def test_surjectivity():
     assert not is_surjective(phi)
 
 
-def test_map_from_space_rejects_wrong_order():
-    sp = space_from_graph(complete_graph(3), 3)
-    wrong = np.zeros((2, 3, 3), dtype=np.int64)  # wrong count, not a basis
-    with pytest.raises(ValueError):
-        map_from_space(sp, order=wrong)
-
-
 def test_restrict_map_keeps_codomain():
     phi = map_from_space(space_from_graph(path_graph(3), 3))
     U = gf.Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], 3, 3)
@@ -138,7 +131,8 @@ def test_basis_order_independence():
     sp = space_from_graph(cycle_graph(4), 3)
     phi1 = map_from_space(sp)
     order = sp.tensor[::-1]  # reversed basis of the same space
-    phi2 = map_from_space(sp, order=order)
+    phi2 = AltBilinearMap.from_matrices(order, sp.n, sp.q)
+    assert is_surjective(phi2) and phi2.span() == sp
     assert kappa_map(phi1)[0] == kappa_map(phi2)[0]
     assert lambda_map(phi1)[0] == lambda_map(phi2)[0]
 
@@ -147,7 +141,8 @@ def test_mixed_basis_still_same_space():
     sp = space_from_graph(complete_graph(3), 3)
     T = sp.tensor
     order = np.stack([(T[0] + T[1]) % 3, T[1], (T[2] + 2 * T[0]) % 3])
-    phi = map_from_space(sp, order=order)
+    phi = AltBilinearMap.from_matrices(order, sp.n, sp.q)
+    assert is_surjective(phi) and phi.span() == sp
     assert kappa_map(phi)[0] == kappa_space(sp)[0]
 
 

@@ -10,7 +10,7 @@ import pytest
 from blt import gf, lattice
 from blt.altspace import GuardExceeded
 from blt.graphs import Graph, complete_graph, disjoint_union, path_graph
-from blt.group import group_from_graph, kappa_group, lambda_group
+from blt.group import BaerGroup, group_from_graph, kappa_group, lambda_group
 from blt.lattice import (
     SmallGroup,
     all_subgroups,
@@ -54,6 +54,31 @@ def test_table_is_latin_square(sg27):
         assert len(set(row.tolist())) == 27
     for col in sg27.mul.T:
         assert len(set(col.tolist())) == 27
+
+
+@pytest.mark.parametrize("P", [group_from_graph(complete_graph(2), 3), group_from_graph(Graph(3, frozenset({(0, 1)})), 3),
+                               group_from_graph(complete_graph(2), 5)], ids=["27", "81", "125"])
+def test_table_is_the_multiply_table(P):
+    els = list(P.all_elements())
+    index = {g: i for i, g in enumerate(els)}
+    ref = np.array([[index[P.multiply(g, h)] for h in els] for g in els])
+    sg = small_group(P)
+    assert sg.labels == tuple((g.v, g.u) for g in els)
+    assert (sg.mul == ref).all()
+
+
+def test_multiply_and_table_share_one_law(monkeypatch):
+    # dropping the h phi(v1, v2) term from BaerGroup.law makes both abelian
+    P = group_from_graph(path_graph(3), 3)
+    els = list(P.all_elements())
+    pairs = [(g, h) for g in els[::7] for h in els]
+    sg = small_group(P)
+    assert not (sg.mul == sg.mul.T).all()
+    assert not all(P.multiply(g, h) == P.multiply(h, g) for g, h in pairs)
+    monkeypatch.setattr(BaerGroup, "law", lambda self, v1, u1, v2, u2: ((v1 + v2) % self.p, (u1 + u2) % self.p))
+    assert all(P.multiply(g, h) == P.multiply(h, g) for g, h in pairs)
+    sg = small_group(P)
+    assert (sg.mul == sg.mul.T).all()
 
 
 def test_axioms(sg27):

@@ -14,17 +14,6 @@ def _run(*args, cwd=ROOT):
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_bench_rank_runs_every_shape():
-    out = _run("scripts/bench_rank.py", "--repeats", "1")
-    assert out.returncode == 0, out.stderr
-    payload = json.loads(out.stdout)
-    assert payload["repeats"] == 1
-    assert len(payload["rows"]) == 9
-    first = payload["rows"][0]
-    assert (first["shape"], first["q"], first["cap"]) == ([970, 15, 18], 3, 8)  # the _level_bounds cap at b = 3, best 5
-    assert {"cores", "python", "numpy"} <= set(payload["machine"])
-
-
 def test_bench_trajectory_writes_medians_and_machine_facts(tmp_path):
     out = _run(str(ROOT / "scripts" / "bench_trajectory.py"), "--label", "smoke", "--seeds", "1",
                "--seconds", "2", "--workloads", "space-n6", cwd=tmp_path)
