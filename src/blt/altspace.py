@@ -41,9 +41,9 @@ order.  The kappa searches (kappa_map and group.kappa_group) are one
 restriction walk on top of it, first_restriction, and differ only in their
 exact tests.
 
-Level scans and line degrees are computed once per space object and shared
-by kappa, lambda, delta, decomposability and full connectivity, which is
-delta = n - 1 (is_fully_connected).  So is the row table: the rows
+The line degrees and kappa's walk are computed once per space object and
+shared by kappa, lambda, delta, decomposability and full connectivity, which
+is delta = n - 1 (is_fully_connected).  So is the row table: the rows
 l^t A_k of every line representative l, built on first use in the narrow
 integer width of gf._work_dtype.  Every RREF row is a line representative,
 so a level is read only through gf.subspace_row_lines, the int32 line
@@ -55,22 +55,29 @@ Products of stacks and bases stay in the table width.  One budget, _CHUNK,
 sets how many entries a gathered stack holds; each scan sizes its steps
 from it and ranks a chunk with one rank_batched call.
 
-The level scan of _dim_scan gives each U two ranks, r1 = rank(M_U) =
-n - dim U^perp and r2 = b - dim(U cap U^perp).  Only level 1 ranks M_U by
-elimination: its r1 are the line degrees.  Every level b >= 2 reads r1 off
-the orthogonality bit table _perp_bits, whose row u holds the lines of
-u^perp: U^perp is the AND of the rows of a basis of U, and its popcount
-(q^d - 1)/(q - 1) gives d = dim U^perp.  r2 is forced at b = 1 (0) and
-where r1 = n (b), is one bit of the table at b = 2, and is ranked from
-M_U B_U^t for the other U at b >= 3.  lambda's filter reads r2 too: for
-every complement V, cut(U, V) >= dim{B_U A} - r2(r2-1)/2 (the proof is in
-_level_bounds), so lambda_space ranks the cuts of a U's complements
-(_cut_ranks_for_u) only where no bound reaches the current best.  The
-filter is a cascade from cheap to dear, each stage for the U the earlier
-ones leave open: the degrees of the RREF rows of U together with two
-counts that bound dim{B_U A} from below (the largest row degree, and
-m - C(n - b, 2), since the forms that B_U kills live on F^n / U), then the
-capped ranks of the flat stacks B_U A, then the degrees of every line of U.
+The level scans count before they compute.  Only level 1 ranks M_U by
+elimination: its r1 are the line degrees.  At every level, each U first
+gets a bound from the degrees of its RREF rows alone (_row_degree_max):
+kappa's c(U) = r1 - r2 is at least maxdeg - (b - 1), and a U with a row of
+degree n - 1 is never valid (the proof is in _kappa_walk), so kappa's walk
+asks _dim_scan for r1 = rank(M_U) = n - dim U^perp and r2 = b - dim(U cap
+U^perp) only at the U this count leaves open, and skips a level with none
+open.  _dim_scan reads r1 off the orthogonality bit table _perp_bits, whose
+row u holds the lines of u^perp: U^perp is the AND of the rows of a basis
+of U, and its popcount (q^d - 1)/(q - 1) gives d = dim U^perp.  r2 is
+forced at b = 1 (0) and where r1 = n (b), is one bit of the table at b = 2,
+and is ranked from M_U B_U^t for the other U at b >= 3.  The bit table is
+built only when some U at b >= 2 stays open; on K6 and K7 none does.
+lambda's filter reads r2 too: for every complement V, cut(U, V) >=
+dim{B_U A} - r2(r2-1)/2 (the proof is in _level_bounds), so lambda_space
+ranks the cuts of a U's complements (_cut_ranks_for_u) only where no bound
+reaches the current best.  The filter is a cascade from cheap to dear, each
+stage for the U the earlier ones leave open: the degrees of the RREF rows of
+U together with two counts that bound dim{B_U A} from below (the largest
+row degree, and m - C(n - b, 2), since the forms that B_U kills live on
+F^n / U), first with the weakest r2 = b and then with the exact r2, then
+the capped ranks of the flat stacks B_U A, then the degrees of every line
+of U.
 
 A query pays only for what it returns: the walk stops at the first level
 that reaches 0, kappa_space reads its witness W = U + U^perp off one
@@ -98,7 +105,7 @@ from .gf import GuardExceeded  # noqa: F401  (re-exported; defined with the budg
 from .gf import Subspace, check_guard, field, rank_batched, subspace_matrices
 from .graphs import Graph
 
-_CHUNK = 2**18  # entries in one gathered stack or bit-table block of the level scans (_perp_bits, _dim_scan, _level_bounds, _cut_ranks_for_u)
+_CHUNK = 2**18  # entries in one gathered stack or bit-table block of the level scans (_degrees, _perp_bits, _dim_scan, _level_bounds, _cut_ranks_for_u)
 _ADJOINT_CHUNK = 2**15  # int64 entries in one chunk of first_decomposable's constraint rows
 
 
@@ -160,9 +167,25 @@ class AltMatrixSpace:
         return stack_tensor(self.basis, self.n)
 
     @cached_property
-    def _scans(self) -> dict:
-        """b -> read-only (r1, r2) of the level-b scan; filled by _dim_scan."""
-        return {}
+    def _degrees(self) -> np.ndarray:
+        """Read-only int64 deg(u) = rank(M_u) of every line u, in
+        projective_lines order, which is also the order of level 1: the r1
+        of level 1, the one level ranked by elimination, one rank_batched
+        call per _CHUNK entries of the row table.  Built on first use, once
+        per space object."""
+        T = self._row_table
+        degs = np.zeros(len(T), dtype=np.int64)
+        step = max(1, _CHUNK // max(1, self.dim * self.n))
+        for lo in range(0, len(T), step):
+            degs[lo : lo + step] = rank_batched(T[lo : lo + step], self.q)
+        degs.setflags(write=False)
+        return degs
+
+    @cached_property
+    def _kappa(self) -> Tuple[int, Optional[np.ndarray]]:
+        """_kappa_walk's (c, u_rows), computed once per space object; kappa_space,
+        is_orth_decomposable and lambda_space all read it."""
+        return _kappa_walk(self)
 
     @cached_property
     def _row_table(self) -> np.ndarray:
@@ -287,13 +310,16 @@ def restrict(space: AltMatrixSpace, W: Subspace) -> AltMatrixSpace:
 # Decomposability
 
 
-def _dim_scan(space: AltMatrixSpace, b: int):
-    """For every b-dim U (canonical order): r1 = rank(M_U), r2 = rank(M_U B_U^t).
+def _dim_scan(space: AltMatrixSpace, b: int, idx: np.ndarray):
+    """(r1, r2) of the U at the indices idx of level b (canonical order):
+    r1 = rank(M_U), r2 = rank(M_U B_U^t).
 
     M_U stacks the rows u_i^t A_k; its kernel is U^perp, so r1 = n - dim U^perp
-    and r2 = b - dim(U cap U^perp).
-    - b = 1: r1 is ranked from the row table, one rank_batched call per
-      _CHUNK entries, and u^t A u = 0 gives r2 = 0.
+    and r2 = b - dim(U cap U^perp).  Nothing is cached: the callers ask only
+    for the U that their counting bounds leave open (_kappa_walk,
+    _level_bounds).
+    - b = 1: r1 is the line degree (_line_degrees), and u^t A u = 0 gives
+      r2 = 0.
     - b >= 2: U^perp is the AND of the _perp_bits rows of the RREF rows of
       U, taken _CHUNK bytes at a time; its popcount (q^d - 1)/(q - 1) gives
       d = dim U^perp.  Where r1 = n, U^perp = 0 gives r2 = b.
@@ -302,40 +328,28 @@ def _dim_scan(space: AltMatrixSpace, b: int):
     - b >= 3: M_U and B_U are gathered from the row table and from
       projective_lines, multiplied in the table dtype and ranked for the U
       with r1 < n only.
-    Returns (r1, r2), read-only and computed once per space object: int64
-    at b = 1 (r1 holds the line degrees), int8 at b >= 2 (0 <= r <= n).
+    Returns int64 arrays at b = 1 and int8 arrays (0 <= r <= n) past it.
     """
-    if b in space._scans:
-        return space._scans[b]
     n, q, m = space.n, space.q, space.dim
-    rows = gf.subspace_row_lines(n, b, q)
-    N = len(rows)
     if b == 1:
-        T = space._row_table
-        r1 = np.zeros(N, dtype=np.int64)
-        step = max(1, _CHUNK // max(1, m * n))
-        for lo in range(0, N, step):
-            r1[lo : lo + step] = rank_batched(T[rows[lo : lo + step, 0]], q)
-        r2 = np.zeros(N, dtype=np.int64)
-    elif b == 2:
-        r1 = n - _perp_dims(space, rows)
+        return _line_degrees(space)[idx], np.zeros(len(idx), dtype=np.int64)
+    if not len(idx):  # so an empty ask builds no _perp_bits
+        return np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int8)
+    rows = gf.subspace_row_lines(n, b, q)[idx]
+    r1 = n - _perp_dims(space, rows)
+    if b == 2:
         bits, u1, u2 = space._perp_bits, rows[:, 0], rows[:, 1]
-        r2 = 2 - 2 * ((bits[u1, u2 >> 3] >> (7 - (u2 & 7))) & 1).astype(np.int8)
-    else:
-        r1 = n - _perp_dims(space, rows)
-        r2 = np.zeros(N, dtype=np.int8)
-        r2[r1 == n] = b
-        T = space._row_table
-        lines = gf.projective_lines(n, q).astype(T.dtype)
-        open_u = np.flatnonzero(r1 < n)
-        step = max(1, _CHUNK // max(1, b * m * n))
-        for lo in range(0, len(open_u), step):
-            sel = open_u[lo : lo + step]
-            M = T[rows[sel]].reshape(len(sel), b * m, n)
-            r2[sel] = rank_batched(M @ lines[rows[sel]].transpose(0, 2, 1), q)
-    r1.setflags(write=False)
-    r2.setflags(write=False)
-    space._scans[b] = r1, r2
+        return r1, 2 - 2 * ((bits[u1, u2 >> 3] >> (7 - (u2 & 7))) & 1).astype(np.int8)
+    r2 = np.zeros(len(rows), dtype=np.int8)
+    r2[r1 == n] = b
+    T = space._row_table
+    lines = gf.projective_lines(n, q).astype(T.dtype)
+    open_u = np.flatnonzero(r1 < n)
+    step = max(1, _CHUNK // max(1, b * m * n))
+    for lo in range(0, len(open_u), step):
+        sel = open_u[lo : lo + step]
+        M = T[rows[sel]].reshape(len(sel), b * m, n)
+        r2[sel] = rank_batched(M @ lines[rows[sel]].transpose(0, 2, 1), q)
     return r1, r2
 
 
@@ -372,11 +386,29 @@ def _line_degrees(space: AltMatrixSpace) -> np.ndarray:
     """deg(u) for every line u, in projective_lines order.
 
     For alternating A the row u^t A is -(A u)^t, so deg(u) = rank(M_u): the
-    degrees are the r1 of the level-1 scan, the one level ranked by
-    elimination; they also decide is_fully_connected and choose the block
-    of _perp_bits that needs products.
+    degrees are the r1 of level 1, cached per space object (_degrees).  They
+    bound kappa's and lambda's levels before any scan (_row_degree_max),
+    decide is_fully_connected and choose the block of _perp_bits that needs
+    products.
     """
-    return _dim_scan(space, 1)[0]
+    return space._degrees
+
+
+def _row_degree_max(space: AltMatrixSpace, b: int) -> np.ndarray:
+    """The largest degree of an RREF row of each U of level b, as int16.
+
+    Built column by column from the line degrees at gf.subspace_row_lines,
+    in place, so no (N, b) temporary is formed (take gathers a strided
+    column about twice as fast as fancy indexing).  A degree is at most n,
+    so int16 holds it, and the bounds built on it (within C(n, 2) + n of 0)
+    stay below 2^15 for every n whose lines fit in memory.
+    """
+    degs = _line_degrees(space).astype(np.int16)
+    rows = gf.subspace_row_lines(space.n, b, space.q)
+    top = degs.take(rows[:, 0])
+    for j in range(1, b):
+        np.maximum(top, degs.take(rows[:, j]), out=top)
+    return top
 
 
 def _perp_basis(space: AltMatrixSpace, u_rows: np.ndarray) -> np.ndarray:
@@ -387,21 +419,45 @@ def _perp_basis(space: AltMatrixSpace, u_rows: np.ndarray) -> np.ndarray:
 
 def _kappa_walk(space: AltMatrixSpace) -> Tuple[int, Optional[np.ndarray]]:
     """(c, u_rows): the least valid c = r1 - r2 at levels b <= n/2, at most
-    n - 1, and the RREF rows of its first U in canonical order (None if no
-    U goes below n - 1).  U is valid when ker M_U is not inside U (n - r1 >
-    b - r2), so its split is nontrivial; only a strictly smaller c replaces
-    the kept U, and the walk stops at c = 0, which no later level beats."""
+    n - 1, and the RREF rows (read-only) of its first U in canonical order
+    (None if no U goes below n - 1).  U is valid when ker M_U is not inside
+    U (n - r1 > b - r2), so its split is nontrivial; only a strictly smaller
+    c replaces the kept U, and the walk stops at c = 0, which no later level
+    beats.  Read it through space._kappa, which runs it once per object.
+
+    The walk counts before it computes r1.  Take U with RREF rows u_1..u_b,
+    r1 = n - dim U^perp and r2 = b - dim(U cap U^perp).
+    - c(U) = r1 - r2 = n - dim(U + U^perp).
+    - For each row u, U^perp lies in u^perp, of dimension n - deg(u), and u
+      lies in U cap u^perp, because u^t A u = 0.  So dim(U + U^perp) <=
+      dim(U + u^perp) <= b + (n - deg(u)) - 1, which gives
+      c(U) >= maxdeg(rows of U) - (b - 1).
+    - A row with deg(u) = n - 1 has u^perp = <u>, inside U.  Then U^perp
+      lies in U, so U is not valid.
+    A U whose bound reaches the best of the level start, or that has a row
+    of degree n - 1, cannot give a c below that best, so it can change
+    neither the value nor the first U attaining it.  The bound comes from
+    the cached line degrees (_row_degree_max); _dim_scan computes r1 and r2
+    only for the U it leaves open, and a level with none open is skipped,
+    so _perp_bits is built only when some U at b >= 2 is open.  At b = 1
+    the bound is exact: it is the line degree.
+    """
     n, q = space.n, space.q
     best, best_u = n - 1, None
     for b in range(1, n // 2 + 1):
         if best == 0:
             break
-        r1, r2 = _dim_scan(space, b)
+        top = _row_degree_max(space, b)
+        open_u = np.flatnonzero((top < n - 1) & (top < best + b - 1))
+        if not open_u.size:
+            continue
+        r1, r2 = _dim_scan(space, b, open_u)
         c = np.where(n - r1 > b - r2, r1 - r2, n)
-        idx = int(c.argmin())
-        if c[idx] < best:
-            best = int(c[idx])
-            best_u = gf.projective_lines(n, q)[gf.subspace_row_lines(n, b, q)[idx]]
+        i = int(c.argmin())
+        if c[i] < best:
+            best = int(c[i])
+            best_u = gf.projective_lines(n, q)[gf.subspace_row_lines(n, b, q)[open_u[i]]]
+            best_u.setflags(write=False)
     return best, best_u
 
 
@@ -420,10 +476,11 @@ def _orth_split(space: AltMatrixSpace, u_rows: np.ndarray) -> OrthWitness:
 
 
 def is_orth_decomposable(space: AltMatrixSpace):
-    """(flag, witness): the kappa walk reaches c = 0 (r1 = r2 is U + U^perp =
-    F^n, and b < n passes its kernel test); the witness is _orth_split of the
-    walk's U.  Zero spaces decompose by convention; n = 1 has no split."""
-    c, u_rows = _kappa_walk(space)
+    """(flag, witness): the kappa walk (space._kappa) reaches c = 0 (r1 = r2
+    is U + U^perp = F^n, and b < n passes its kernel test); the witness is
+    _orth_split of the walk's U.  Zero spaces decompose by convention; n = 1
+    has no split."""
+    c, u_rows = space._kappa
     if c:
         return False, None
     if u_rows is None:
@@ -562,14 +619,15 @@ def first_restriction(A: np.ndarray, n: int, q: int, exact: Callable[[Subspace],
 def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Subspace]:
     """(kappa, W): smallest c with a decomposable restriction, dim W = n - c.
 
-    c and its first U come from _kappa_walk.  The restriction to W = U +
-    U^perp decomposes along _orth_split's (U, V), so W is the RREF of U's
-    rows stacked on a basis of U^perp: one nullspace and one rref.
+    c and its first U come from _kappa_walk, run once per space object
+    (space._kappa).  The restriction to W = U + U^perp decomposes along
+    _orth_split's (U, V), so W is the RREF of U's rows stacked on a basis
+    of U^perp: one nullspace and one rref.
     """
     n, q = space.n, space.q
     check_guard("n", n, gf.GUARD_N, force)
     gf.check_scan_guards(n, q, force)
-    best, best_u = _kappa_walk(space)
+    best, best_u = space._kappa
     if best_u is None:
         # degenerate route only: restriction to a line is the zero space
         return n - 1, Subspace.from_vectors(gf.projective_lines(n, q)[:1], n, q)
@@ -663,9 +721,13 @@ def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
     the earlier ones leave below best, and the result is min(max of the
     stages, best):
     1. the line bound over the b RREF rows of U alone, and the flat bound
-       with dim{B_U A} replaced by the larger of the two counts, read from
-       the line degrees at gf.subspace_row_lines and from r2, for every U;
-       on K6, K7 and other dense spaces this closes every U;
+       with dim{B_U A} replaced by the larger of the two counts, for every
+       U, from the row degrees of _row_degree_max; first with r2 = b, the
+       weakest drop C(b, 2), then with the exact r2 of _dim_scan for the U
+       that this weak bound leaves below best.  A U whose weak bound
+       reaches best has an exact bound at least as large, so the two steps
+       close the same U as the exact bound alone.  On K6, K7 and other
+       dense spaces the weak bound closes every U, so no r2 is computed;
     2. the flat bound: the (m, b n) stacks B_U A are gathered from the row
        table, _CHUNK entries at a time, and ranked with cap best +
        b(b-1)/2, which only lowers a rank, so a capped bound is still a
@@ -677,27 +739,29 @@ def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
     A U ends below best exactly when the larger of the two bounds is below
     it, so the clamped result equals min(larger bound, best) entry for
     entry: lambda_space compares entries only with best or a smaller value.
-    lambda_space reads r2 from the scans that is_orth_decomposable has
-    already run at every level.
+    The bounds are int16, as the row degrees are (_row_degree_max).
     """
     n, q, m = space.n, space.q, space.dim
-    degs = _line_degrees(space)
-    lines, rows = gf.projective_lines(n, q), gf.subspace_row_lines(n, b, q)
-    row_deg = degs[rows].max(axis=1)
-    bound = row_deg - (b - 1)
+    top = _row_degree_max(space, b)
+    bound = top - (b - 1)
     if m:
         T = space._row_table
-        # r2(r2-1)/2 looked up in int64, since r2 is int8
-        drop = np.array([comb(r, 2) for r in range(b + 1)])[_dim_scan(space, b)[1]]
-        bound = np.maximum(bound, np.maximum(row_deg, m - comb(n - b, 2)) - drop)
+        rows = gf.subspace_row_lines(n, b, q)
+        count = np.maximum(top, m - comb(n - b, 2), out=top)  # dim{B_U A} >= count
+        np.maximum(bound, count - comb(b, 2), out=bound)
         open_u = np.flatnonzero(bound < best)
+        drop = np.array([comb(r, 2) for r in range(b + 1)], dtype=np.int16)[_dim_scan(space, b, open_u)[1]]
+        bound[open_u] = np.maximum(bound[open_u], count[open_u] - drop)
+        keep = bound[open_u] < best
+        open_u, drop = open_u[keep], drop[keep]
         step = max(1, _CHUNK // (m * b * n))
         for lo in range(0, len(open_u), step):
             sel = open_u[lo : lo + step]
             flats = T[rows[sel]].transpose(0, 2, 1, 3).reshape(len(sel), m, b * n)
             r_flat = rank_batched(flats, q, cap=best + b * (b - 1) // 2)
-            bound[sel] = np.maximum(bound[sel], r_flat - drop[sel])
+            bound[sel] = np.maximum(bound[sel], r_flat - drop[lo : lo + step])
         open_u = open_u[bound[open_u] < best]
+        degs, lines = _line_degrees(space), gf.projective_lines(n, q)
         step = max(1, _CHUNK // (n * (q**b - 1) // (q - 1)))
         for lo in range(0, len(open_u), step):
             sel = open_u[lo : lo + step]
@@ -713,13 +777,14 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     the dim-1 pass contributes exactly delta.  Larger U are scanned with a
     sound lower-bound filter and batched rank computation: _level_bounds
     gives each U of a level a lower bound on its cut, the larger of
-    max deg(u) - (b - 1) over its lines and dim{B_U A} - r2(r2-1)/2 with r2
-    read from the level scan, computed once per level with the best of the
-    level start as cap and clamped at it (a cascade that computes each
-    bound only for the U the cheaper ones leave below that best; its first
-    stage bounds dim{B_U A} by counting, at least the largest degree of a
-    basis row of U and at least m - C(n - b, 2), which on dense spaces
-    such as K6 and K7 closes every level before any rank), and a U
+    max deg(u) - (b - 1) over its lines and dim{B_U A} - r2(r2-1)/2,
+    computed once per level with the best of the level start as cap and
+    clamped at it (a cascade that computes each bound only for the U the
+    cheaper ones leave below that best; its first stage bounds dim{B_U A}
+    by counting, at least the largest degree of a basis row of U and at
+    least m - C(n - b, 2), with the weakest r2 = b before the exact r2 of
+    _dim_scan, which on dense spaces such as K6 and K7 closes every level
+    before any r1, r2 or rank is computed), and a U
     is skipped when its bound reaches the current best, so the filter
     tightens after every strict drop within the level.  Capped and clamped
     bounds stay lower bounds, and the current best never exceeds the clamp.
@@ -739,11 +804,12 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
     first line of degree delta (the delta_space witness) comes before every
     split with b >= 2.
 
-    At lambda = 0 the witness is is_orth_decomposable's split, _orth_split
-    of the first U in canonical order with U + U^perp = F^n: V is the
-    canonical rows of U^perp that are independent modulo U, the greedy
-    complement of U cap U^perp inside U^perp, which need not be the first V
-    in complement_matrices order.
+    At lambda = 0 the witness is is_orth_decomposable's split, read off the
+    space's one kappa walk (space._kappa): _orth_split of the first U in
+    canonical order with U + U^perp = F^n.  V is the canonical rows of
+    U^perp that are independent modulo U, the greedy complement of U cap
+    U^perp inside U^perp, which need not be the first V in
+    complement_matrices order.
     """
     n, q = space.n, space.q
     if n < 2:

@@ -238,8 +238,8 @@ def test_level_scans_and_line_degrees_are_shared_per_space(monkeypatch):
     assert not is_orth_decomposable(sp)[0]
     assert delta_space(sp)[0] == 2
     assert calls == []
-    r1, r2 = altspace._dim_scan(sp, 1)
-    assert not r1.flags.writeable and not r2.flags.writeable
+    degs = altspace._line_degrees(sp)
+    assert not degs.flags.writeable and altspace._line_degrees(sp) is degs
     monkeypatch.undo()
     lambda_space(sp)
     assert sp._row_table is table  # one row table per space object
@@ -269,6 +269,11 @@ def _einsum_ranks(space, Us):
     N, b, n = Us.shape
     M = np.einsum("ubi,kij->ubkj", Us, space.tensor).reshape(N, b * m, n) % q
     return gf.rank_batched(M, q), gf.rank_batched(np.einsum("urj,ucj->urc", M, Us), q)
+
+
+def _scan(space, b):
+    """_dim_scan at every index of level b."""
+    return altspace._dim_scan(space, b, np.arange(gf.gaussian_binomial(space.n, b, space.q)))
 
 
 def _einsum_dim_scan(space, b):
@@ -320,7 +325,7 @@ def _stack_cases():
 def test_gathered_stacks_equal_the_einsum_stacks(n, m, q):
     sp = random_alt_space(n, m, q, np.random.default_rng(1000 * n + 10 * m + q))
     for b in range(1, n // 2 + 1):
-        r1, r2 = altspace._dim_scan(sp, b)
+        r1, r2 = _scan(sp, b)
         ref1, ref2 = _einsum_dim_scan(sp, b)
         assert np.array_equal(r1, ref1) and np.array_equal(r2, ref2), b
         best = max(1, m // 2)
@@ -399,7 +404,7 @@ def test_level_bounds_are_sound():
         n, q, m = sp.n, sp.q, sp.dim
         for b in range(2, n // 2 + 1):
             bound = altspace._level_bounds(sp, b, max(1, m))  # cap m + b(b-1)/2: no rank reaches it
-            r2 = altspace._dim_scan(sp, b)[1]
+            r2 = _scan(sp, b)[1]
             Us = gf.subspace_matrices(n, b, q)
             sel = np.arange(0, len(Us), 211 if (n, q) == (5, 5) else 1)
             min_cut, flat = _min_cuts_and_flats(sp, Us[sel])
@@ -443,14 +448,21 @@ def _cascade_cases():
 
 
 def test_level_bounds_cascade_ranks_only_the_open_u(monkeypatch):
-    # the flats are ranked for the U the row and counting bounds leave below
-    # best, and the lines are read only for the U the flats leave below best
-    rank, lines_of = gf.rank_batched, gf.subspace_lines
-    ranked, lined = [], []
+    # the exact r2 is computed for the U the row and counting bounds leave
+    # below best with r2 = b, the flats are ranked for the U they leave
+    # below best with the exact r2, and the lines are read only for the U
+    # the flats leave below best
+    rank, lines_of, scan = gf.rank_batched, gf.subspace_lines, altspace._dim_scan
+    ranked, lined, scanned = [], [], []
 
     def count_ranks(mats, q, cap=None):
-        ranked.append(len(mats))
+        if mats.shape[1:] == flat_shape:  # the r2 ranks of _dim_scan at b >= 3 are (b m, b) stacks
+            ranked.append(len(mats))
         return rank(mats, q, cap)
+
+    def record_scan(space, b, idx):
+        scanned.append(idx)
+        return scan(space, b, idx)
 
     def record_lines(S, q):
         lined.append(S)
@@ -460,19 +472,24 @@ def test_level_bounds_cascade_ranks_only_the_open_u(monkeypatch):
     for sp, b, best, want_flats, want_lines in _cascade_cases():
         n, q, m = sp.n, sp.q, sp.dim
         degs = altspace._line_degrees(sp)
-        r2 = altspace._dim_scan(sp, b)[1]  # the scans run before the patches
+        r2 = _scan(sp, b)[1]  # the scans run before the patches
         Us = gf.subspace_matrices(n, b, q)
         row_deg = degs[gf.subspace_row_lines(n, b, q)].max(axis=1)
+        weak = np.maximum(row_deg - (b - 1), np.maximum(row_deg, m - comb(n - b, 2)) - comb(b, 2))
         row = np.maximum(row_deg - (b - 1), np.maximum(row_deg, m - comb(n - b, 2)) - r2 * (r2 - 1) // 2)
         flat = _chunked(len(Us), lambda lo, hi: gf.rank_batched(
             np.einsum("ubi,kij->ukbj", Us[lo:hi], sp.tensor).reshape(hi - lo, m, b * n), q))
         still_open = (row < best) & (flat - r2 * (r2 - 1) // 2 < best)
+        flat_shape = (m, b * n)
         ranked.clear()
         lined.clear()
+        scanned.clear()
         with monkeypatch.context() as mp:
             mp.setattr(altspace, "rank_batched", count_ranks)
             mp.setattr(gf, "subspace_lines", record_lines)
+            mp.setattr(altspace, "_dim_scan", record_scan)
             altspace._level_bounds(sp, b, best)
+        assert np.array_equal(np.concatenate(scanned), np.flatnonzero(weak < best)), (n, q, m, b)
         assert sum(ranked) == int((row < best).sum()), (n, q, m, b)
         got = np.concatenate(lined) if lined else np.zeros((0, b, n), dtype=np.int64)
         assert np.array_equal(got, Us[still_open]), (n, q, m, b)
@@ -584,7 +601,7 @@ def _scan_answers(sp):
     n, q, m = sp.n, sp.q, sp.dim
     out = []
     for b in range(1, n // 2 + 1):
-        out.append([r.tolist() for r in altspace._dim_scan(sp, b)])
+        out.append([r.tolist() for r in _scan(sp, b)])
         out.append(altspace._level_bounds(sp, b, max(1, m // 2)).tolist())
         if m:
             Us = gf.subspace_matrices(n, b, q)
@@ -662,7 +679,7 @@ def test_perp_dims_refuse_a_count_that_is_no_subspace():
     bits = np.packbits(table, axis=1)
     vars(sp)["_perp_bits"] = bits
     with pytest.raises(AssertionError, match="lines"):
-        altspace._dim_scan(sp, 2)
+        _scan(sp, 2)
 
 
 def test_perp_bits_are_read_only_and_built_once():
@@ -705,12 +722,12 @@ def test_levels_past_one_rank_only_the_open_r2_stacks(monkeypatch):
 
     monkeypatch.setattr(altspace, "rank_batched", counting)
     for sp in _level_scan_spaces():
-        altspace._dim_scan(sp, 1)
+        altspace._line_degrees(sp)
         batches.clear()
-        altspace._dim_scan(sp, 2)
+        _scan(sp, 2)
         assert batches == [], sp
         if sp.n >= 6:
-            r1, _ = altspace._dim_scan(sp, 3)
+            r1, _ = _scan(sp, 3)
             assert sum(batches) == int((r1 < sp.n).sum()), sp
             if sp.dim == 15:  # the K6 image: every solid has r1 = n
                 assert batches == []
@@ -731,12 +748,118 @@ def test_space_from_graph_is_the_canonical_basis():
                 assert space_from_graph(g, q) == AltMatrixSpace.from_matrices(np.array(mats), n, q), (q, g)
 
 
-def test_kappa_stops_at_zero():
+def _record_levels(monkeypatch):
+    """Patch the level reads of the kappa walk and of the level bounds; the
+    returned list gets (name, b, U asked) per call: the count bound over a
+    whole level (_row_degree_max) and the U whose r1 is computed (_dim_scan)."""
+    calls = []
+    row_degree_max, dim_scan = altspace._row_degree_max, altspace._dim_scan
+
+    def counted(space, b):
+        calls.append(("count", b, gf.gaussian_binomial(space.n, b, space.q)))
+        return row_degree_max(space, b)
+
+    def scanned(space, b, idx):
+        calls.append(("r1", b, len(idx)))
+        return dim_scan(space, b, idx)
+
+    monkeypatch.setattr(altspace, "_row_degree_max", counted)
+    monkeypatch.setattr(altspace, "_dim_scan", scanned)
+    return calls
+
+
+def test_kappa_stops_at_zero(monkeypatch):
     # an isolated vertex gives kappa 0 at level 1; level 2 is never scanned
     sp = space_from_graph(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]), 3)
+    levels = _record_levels(monkeypatch)
     value, W = kappa_space(sp)
     assert value == 0 and W.dim == 5
-    assert list(sp._scans) == [1]
+    assert levels and {b for _, b, _ in levels} == {1}
+
+
+def _einsum_ranks_of_spaces(tensors, Us, q):
+    """Reference: _einsum_ranks for each tensor of the (G, m, n, n) stack, as (G, N) arrays of r1 and r2."""
+    G, m = tensors.shape[:2]
+    N, b, n = Us.shape
+    P = Us.reshape(N * b, n) @ tensors.transpose(2, 0, 1, 3).reshape(n, G * m * n) % q  # rows (u, b), columns (g, k, j)
+    M = P.reshape(N, b, G, m, n).transpose(2, 0, 1, 3, 4).reshape(G, N, b * m, n)
+    return gf.rank_batched(M.reshape(G * N, b * m, n), q).reshape(G, N), gf.rank_batched(
+        (M @ Us.transpose(0, 2, 1) % q).reshape(G * N, b * m, b), q).reshape(G, N)
+
+
+def test_kappa_count_bound_is_sound():
+    # every U of every level, with r1 and r2 from the einsum reference, the
+    # spaces of one shape ranked together: c(U) = r1 - r2 >= maxdeg(rows of
+    # U) - (b - 1), and a U with a row of degree n - 1 fails the walk's
+    # validity test n - r1 > b - r2
+    shapes = {}
+    for sp in _kappa_walk_inputs():
+        shapes.setdefault((sp.n, sp.q, sp.dim), []).append(sp.tensor)
+    tight = full_rows = 0
+    for (n, q, m), tensors in shapes.items():
+        lines = gf.projective_lines(n, q)
+        powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        order = np.argsort(lines @ powers)
+        step = max(1, 2**21 // (gf.gaussian_binomial(n, n // 2, q) * max(1, m) * n * n))
+        for lo in range(0, len(tensors), step):
+            A = np.stack(tensors[lo : lo + step])
+            degs = _einsum_ranks_of_spaces(A, lines[:, None, :], q)[0]
+            for b in range(1, n // 2 + 1):
+                Us = gf.subspace_matrices(n, b, q)
+                r1, r2 = _einsum_ranks_of_spaces(A, Us, q)
+                rows = order[np.searchsorted((lines @ powers)[order], Us @ powers)]  # line of each RREF row
+                top = degs[:, rows].max(axis=2)
+                assert (r1 - r2 >= top - (b - 1)).all(), (n, q, m, b)
+                assert not (n - r1 > b - r2)[top == n - 1].any(), (n, q, m, b)
+                if b > 1:
+                    tight += int((r1 - r2 == top - (b - 1)).sum())
+                    full_rows += int((top == n - 1).sum())
+    assert tight > 1000 and full_rows > 1000  # both claims are exercised at b >= 2
+
+
+def test_kappa_counts_before_it_computes_r1(monkeypatch):
+    # on the K6 image and forced K7 every line has degree n - 1, so kappa
+    # and lambda close every U at b >= 2 by counting, and _perp_bits is
+    # never built; on the seed-1 C6 image the r1 computed per level is pinned
+    levels = _record_levels(monkeypatch)
+    k6 = random_isometry_image(space_from_graph(complete_graph(6), 3), 4)[0]
+    k7 = space_from_graph(complete_graph(7), 3)
+    for sp, force in ((k6, False), (k7, True)):
+        levels.clear()
+        assert kappa_space(sp, force=force)[0] == lambda_space(sp, force=force).value == sp.n - 1
+        assert sum(k for name, _, k in levels if name == "r1") == 0
+        assert {b for _, b, _ in levels} == set(range(1, sp.n // 2 + 1))  # every level was counted
+        assert "_perp_bits" not in vars(sp)
+    c6 = random_isometry_image(space_from_graph(cycle_graph(6), 3), 1)[0]
+    levels.clear()
+    assert kappa_space(c6)[0] == 2
+    assert levels == [("count", 1, 364), ("r1", 1, 188), ("count", 2, 11011), ("r1", 2, 2),
+                      ("count", 3, 33880), ("r1", 3, 17)]
+
+
+def test_one_walk_serves_kappa_decomposability_and_lambda(monkeypatch):
+    # after kappa_space the walk never runs again on the same object: the
+    # only r1 that is_orth_decomposable and lambda_space compute are those
+    # _level_bounds asks for, to read the exact r2 of the U its weak bound
+    # leaves open
+    def refuse(space):
+        raise AssertionError("the kappa walk ran twice on one space")
+
+    def bounds(space, b, best):
+        levels.append(("bounds", b, best))
+        return level_bounds(space, b, best)
+
+    sp = random_isometry_image(space_from_graph(cycle_graph(6), 3), 1)[0]
+    kappa_space(sp)
+    levels = _record_levels(monkeypatch)
+    level_bounds = altspace._level_bounds
+    monkeypatch.setattr(altspace, "_kappa_walk", refuse)
+    monkeypatch.setattr(altspace, "_level_bounds", bounds)
+    assert is_orth_decomposable(sp) == (False, None)
+    assert levels == []
+    assert lambda_space(sp).value == 2
+    assert levels == [("bounds", 2, 2), ("count", 2, 11011), ("r1", 2, 2),
+                      ("bounds", 3, 2), ("count", 3, 33880), ("r1", 3, 17)]
 
 
 @pytest.mark.parametrize("g", [cycle_graph(5), disjoint_union(path_graph(2), path_graph(3))], ids=["C5", "P2+P3"])
@@ -1073,7 +1196,7 @@ def test_forced_scans_at_seven_vertices_stay_small():
     assert (kappa, res.value, delta) == (2, 2, 2)
     assert W.mat().tolist() == [e7[0]] + e7[2:6]
     assert (res.U.mat().tolist(), res.V.mat().tolist(), v.tolist()) == ([e7[0]], e7[1:], e7[0])
-    assert peak < 64 * 2**20
+    assert peak < 32 * 2**20
 
 
 def test_isometry_invariance():
@@ -1271,13 +1394,14 @@ def test_level_guard_refuses_n6_at_q5(monkeypatch):
             solver(sp)
 
 
-def test_level_guard_lifts_with_force_and_admits_n5_at_q7():
+def test_level_guard_lifts_with_force_and_admits_n5_at_q7(monkeypatch):
     # an isolated vertex gives kappa = lambda = 0 at level 1, so the forced
     # n = 6, q = 5 queries stop before the level past the guard
     sp = space_from_graph(Graph.from_edges(6, [(i, i + 1) for i in range(4)]), 5)  # P5 and vertex 5
+    levels = _record_levels(monkeypatch)
     assert kappa_space(sp, force=True)[0] == 0
     assert lambda_space(sp, force=True).value == 0
-    assert 2 not in sp._scans
+    assert levels and {b for _, b, _ in levels} == {1}
     # n = 5 at q = 7 (140050 planes) passes both guards
     sp = space_from_graph(Graph.from_edges(5, [(i, i + 1) for i in range(3)]), 7)  # P4 and vertex 4
     assert kappa_space(sp)[0] == 0 and lambda_space(sp).value == 0

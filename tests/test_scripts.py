@@ -26,3 +26,21 @@ def test_bench_trajectory_writes_medians_and_machine_facts(tmp_path):
     wall = run["metrics"]["wall_s"]
     assert wall["median"] == wall["values"][0] > 0 and wall["iqr"] == 0
     assert {"inst_p50_s", "cpu_s", "peak_rss_mb", "setup_s", "pass_share"} <= set(run["metrics"])
+
+
+def test_bench_trajectory_against_a_checkout_interleaves_and_counts_wins(tmp_path):
+    out = _run(str(ROOT / "scripts" / "bench_trajectory.py"), "--label", "pair", "--seeds", "2",
+               "--seconds", "2", "--workloads", "space-n6", "--against", str(ROOT), cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    payload = json.loads((tmp_path / "BENCH_pair.json").read_text())
+    assert payload["first"] == ["change", "against"]  # the order flips every seed
+    assert payload["against"]["commit"] == payload["commit"]
+    change, against = payload["workloads"]["space-n6"], payload["against"]["workloads"]["space-n6"]
+    assert change["correct"] is True and against["correct"] is True
+    assert len(change["metrics"]["wall_s"]["values"]) == len(against["metrics"]["wall_s"]["values"]) == 2
+    wins = payload["change_wins"]["space-n6"]
+    assert set(wins) == set(change["metrics"]) and all(0 <= k <= 2 for k in wins.values())
+    assert wins["pass_share"] == 0  # equal shares are no win
+    bad = _run(str(ROOT / "scripts" / "bench_trajectory.py"), "--label", "bad", "--seeds", "1",
+               "--seconds", "2", "--against", str(tmp_path), cwd=tmp_path)
+    assert bad.returncode == 2 and "no perfbench/run.py" in bad.stderr
