@@ -197,10 +197,12 @@ class AltMatrixSpace:
         gf.subspace_row_lines.  Built on first use, once per space object.
         The dtype is gf._work_dtype(q, n), whose bound n (q-1)^2 + q holds a
         product of a table row with any n residues, so the stacks and their
-        products with subspace bases never leave it.
+        products with subspace bases never leave it; it also holds the sums
+        of the one matmul that builds the table.
         """
-        lines = gf.projective_lines(self.n, self.q)
-        t = (np.einsum("li,kij->lkj", lines, self.tensor) % self.q).astype(gf._work_dtype(self.q, self.n))
+        dt = gf._work_dtype(self.q, self.n)
+        t = gf._mod(gf.projective_lines(self.n, self.q).astype(dt) @ self.tensor.astype(dt), self.q)
+        t = np.ascontiguousarray(t.transpose(1, 0, 2))  # (m, L, n) -> (L, m, n)
         t.setflags(write=False)
         return t
 
@@ -622,7 +624,8 @@ def kappa_space(space: AltMatrixSpace, *, force: bool = False) -> Tuple[int, Sub
     c and its first U come from _kappa_walk, run once per space object
     (space._kappa).  The restriction to W = U + U^perp decomposes along
     _orth_split's (U, V), so W is the RREF of U's rows stacked on a basis
-    of U^perp: one nullspace and one rref.
+    of U^perp: two eliminations, one for the kernel U^perp (gf.nullspace)
+    and one for the span (gf.rref).
     """
     n, q = space.n, space.q
     check_guard("n", n, gf.GUARD_N, force)
@@ -841,7 +844,8 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
                     break
             if best <= 1:
                 break
-    U = Subspace.from_vectors(u_rows, n, q)
+    # u_rows are the RREF rows of a level subspace or a line representative
+    U = Subspace(n, q, gf.frozen(u_rows))
     V = Subspace.from_vectors(v_rows, n, q)
     return LambdaResult(best, U, V, space)
 

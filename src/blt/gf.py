@@ -106,7 +106,7 @@ class FieldParams:
             raise ValueError(f"modulus must be an odd prime in [3, {MAX_Q}], got {self.q}")
 
     @property
-    def inv(self) -> np.ndarray:
+    def inv(self) -> list:
         return _inverse_table(self.q)
 
     @property
@@ -121,12 +121,9 @@ def field(q: int) -> FieldParams:
 
 
 @lru_cache(maxsize=None)
-def _inverse_table(q: int) -> np.ndarray:
-    table = np.zeros(q, dtype=np.int64)
-    for a in range(1, q):
-        table[a] = pow(a, q - 2, q)
-    table.setflags(write=False)
-    return table
+def _inverse_table(q: int) -> list:
+    """[0, 1/1, 1/2, ..., 1/(q-1)] mod q, as Python ints; entry 0 is a placeholder."""
+    return [0] + [pow(a, q - 2, q) for a in range(1, q)]
 
 
 def as_residues(data, q: int) -> np.ndarray:
@@ -151,33 +148,39 @@ def frozen(arr: np.ndarray) -> tuple:
 def rref(mat, q: int):
     """Reduced row echelon form over F_q.
 
-    Returns (R, rank, pivots) where R has unit pivots, zeros above and below
-    each pivot, and zero rows sunk to the bottom.
+    Returns (R, rank, pivots) where R is an int64 array of mat's shape with
+    unit pivots, zeros above and below each pivot, and zero rows sunk to the
+    bottom.  The elimination runs on lists of Python ints: the matrices here
+    are small (a basis, a stack of a few rows), where numpy's per-call cost
+    outweighs the arithmetic.
     """
     R = as_residues(mat, q)
     if R.ndim != 2:
         raise ValueError("rref expects a 2-d matrix")
-    inv = _inverse_table(q)
     rows, cols = R.shape
+    inv = _inverse_table(q)
+    M = R.tolist()
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        for p in range(r, rows):
+            if M[p][c]:
+                break
+        else:
             continue
-        p = r + nz[0]
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        R[r] = (R[r] * inv[R[r, c]]) % q
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            R[others] = (R[others] - np.outer(R[others, c], R[r])) % q
+        M[r], M[p] = M[p], M[r]
+        # rows r and below are 0 before column c, so only columns c.. change
+        f = inv[M[r][c]]
+        top = M[r][c:] = [x * f % q for x in M[r][c:]]
+        for i, row in enumerate(M):
+            a = row[c]
+            if a and i != r:
+                row[c:] = [(x - a * y) % q for x, y in zip(row[c:], top)]
         pivots.append(c)
         r += 1
-    return R, r, tuple(pivots)
+    return np.array(M, dtype=np.int64).reshape(rows, cols), r, tuple(pivots)
 
 
 def rank_gf(mat, q: int) -> int:
@@ -185,19 +188,25 @@ def rank_gf(mat, q: int) -> int:
 
 
 def nullspace(mat, q: int) -> np.ndarray:
-    """Canonical basis (RREF rows) of {x : mat @ x = 0 over F_q}."""
+    """Canonical basis (RREF rows) of {x : mat @ x = 0 over F_q}: one elimination.
+
+    mat is row-reduced with its columns reversed, and R is flipped back, so
+    row i of R holds 1 at its pivot p_i and nonzeros elsewhere only at free
+    columns before p_i.  The kernel vector of a free column f is 1 at f,
+    -R[i, f] at each p_i, and 0 at the other free columns; it is nonzero
+    only at f and at pivots after f.  So in ascending f these vectors are
+    already the canonical RREF basis: each leads with 1 at its own f, and
+    every other vector is 0 there.
+    """
     M = as_residues(mat, q)
     n = M.shape[1]
-    R, r, pivots = rref(M, q)
+    R, r, rev = rref(M[:, ::-1], q)
+    pivots = [n - 1 - p for p in rev]
     free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return np.zeros((0, n), dtype=np.int64)
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        for row, p in enumerate(pivots):
-            basis[i, p] = (-R[row, c]) % q
-    return rref(basis, q)[0][: len(free)]
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -R[:r, ::-1][:, free].T % q
+    return basis
 
 
 def invert(mat, q: int) -> np.ndarray:
@@ -551,7 +560,7 @@ def rank_batched(mats: np.ndarray, q: int, cap: Optional[int] = None) -> np.ndar
     dtype = _work_dtype(q, c)
     A = np.empty((c, Bn, r), dtype=dtype)
     A[...] = _mod(mats, q).transpose(2, 0, 1)
-    inv = _inverse_table(q).astype(dtype)
+    inv = np.array(_inverse_table(q), dtype=dtype)
     batch = np.arange(Bn)
     buf = np.empty((c - 1, Bn, r), dtype=dtype)
     for col in range(c):

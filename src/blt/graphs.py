@@ -1,11 +1,12 @@
 """Simple undirected graphs and exact connectivity parameters.
 
 Vertices are 0-indexed internally; the text edge-list format is 1-indexed.
-Two independent solver families are provided for the vertex and edge
-connectivity numbers kappa and lambda:
-
-* brute force over removal subsets, ascending size (the reference oracle), and
-* max-flow / Menger counting of disjoint paths.
+The vertex and edge connectivity numbers kappa and lambda are computed by
+their definitions on int bitmasks of vertices, with a bit breadth-first
+search as the connectivity test: kappa over vertex subsets by size, lambda
+over the vertex bipartitions.  Both return the first witness in a stated
+order.  edge_connectivity_bruteforce, over edge subsets, is kept as a test
+oracle for lambda.
 
 Disconnected graphs have kappa = lambda = 0.  Complete graphs cannot be
 disconnected by vertex removal, so kappa(K_n) = n - 1 by the usual convention
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,6 @@ class Graph:
 
     def sorted_edges(self):
         return sorted(self.edges)
-
-    def adjacency(self):
-        adj = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
@@ -119,185 +113,79 @@ def min_degree(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Connectivity helpers
+# Connectivity by definition
 
 
-def _components(n: int, adj, removed_vertices=(), removed_edges=()) -> int:
-    removed_vertices = set(removed_vertices)
-    removed_edges = {(min(e), max(e)) for e in removed_edges}
-    seen = set(removed_vertices)
-    comps = 0
-    for start in range(n):
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in seen:
-                    continue
-                if (min(v, w), max(v, w)) in removed_edges:
-                    continue
-                seen.add(w)
-                stack.append(w)
-    return comps
+def _neighbour_masks(n: int, edges) -> list:
+    """nbr[v]: the neighbours of vertex v as an int bitmask."""
+    nbr = [0] * n
+    for i, j in edges:
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    return nbr
 
 
-# ---------------------------------------------------------------------------
-# Brute-force solvers (reference oracles)
+def _connected(nbr: list, alive: int) -> bool:
+    """Whether the vertices in the bitmask alive induce a connected graph:
+    a breadth-first search that grows a bitmask from the lowest vertex."""
+    seen = frontier = alive & -alive
+    while frontier:
+        v = frontier & -frontier
+        frontier ^= v
+        new = nbr[v.bit_length() - 1] & alive & ~seen
+        seen |= new
+        frontier |= new
+    return seen == alive
 
 
-def vertex_connectivity_bruteforce(g: Graph):
+def vertex_connectivity(g: Graph):
     """(kappa, separator or None).  separator is None exactly for complete graphs.
 
-    Tries removal subsets in ascending size, lexicographic within a size, so
-    the witness is deterministic.  Any non-complete graph has a separator of
-    size <= n - 2 (all vertices except a non-adjacent pair).
+    The definition: vertex subsets are tried by size, then lexicographically,
+    so the witness is the lexicographically first least separator.  Any
+    non-complete graph has a separator of size <= n - 2 (all vertices except
+    a non-adjacent pair).
     """
-    adj = g.adjacency()
-    if _components(g.n, adj) > 1:
+    nbr = _neighbour_masks(g.n, g.edges)
+    full = (1 << g.n) - 1
+    if not _connected(nbr, full):
         return 0, ()
     for size in range(1, g.n - 1):
         for subset in combinations(range(g.n), size):
-            if _components(g.n, adj, removed_vertices=subset) > 1:
+            if not _connected(nbr, full & ~sum(1 << v for v in subset)):
                 return size, subset
     return g.n - 1, None
 
 
-def edge_connectivity_bruteforce(g: Graph):
-    """(lambda, edge cut).  Subsets ascending by size, lexicographic order."""
-    adj = g.adjacency()
-    if _components(g.n, adj) > 1:
+def edge_connectivity(g: Graph):
+    """(lambda, edge cut).
+
+    The definition: the least number of edges crossing a bipartition (S, S^c)
+    with vertex 0 in S, over S in increasing bitmask order; the witness is
+    the cut of the first least S, in sorted edge order.
+    """
+    nbr = _neighbour_masks(g.n, g.edges)
+    full = (1 << g.n) - 1
+    if not _connected(nbr, full):
         return 0, ()
+    best, best_s = g.m + 1, 0
+    for s in range(1, full, 2):
+        cross = sum((nbr[v] & ~s).bit_count() for v in range(g.n) if s >> v & 1)
+        if cross < best:
+            best, best_s = cross, s
+    return best, tuple((i, j) for i, j in g.sorted_edges() if (best_s >> i ^ best_s >> j) & 1)
+
+
+def edge_connectivity_bruteforce(g: Graph):
+    """(lambda, edge cut) over edge subsets, ascending by size, lexicographic
+    within a size: a test oracle for edge_connectivity, exponential in m."""
     edges = g.sorted_edges()
-    for size in range(1, g.m + 1):
+    full = (1 << g.n) - 1
+    for size in range(g.m + 1):
         for subset in combinations(edges, size):
-            if _components(g.n, adj, removed_edges=subset) > 1:
+            if not _connected(_neighbour_masks(g.n, set(edges) - set(subset)), full):
                 return size, subset
     raise AssertionError("removing all edges must disconnect (n >= 2)")
-
-
-# ---------------------------------------------------------------------------
-# Max-flow solvers
-
-
-def _edmonds_karp(num_nodes: int, arcs, source: int, sink: int) -> tuple:
-    """Integer max flow.  arcs: list of (u, v, capacity).  Returns (value, residual_adj, cap)."""
-    cap = {}
-    adj = [[] for _ in range(num_nodes)]
-    for u, v, c in arcs:
-        if (u, v) not in cap:
-            adj[u].append(v)
-            adj[v].append(u)
-            cap[(u, v)] = 0
-            cap[(v, u)] = cap.get((v, u), 0)
-        cap[(u, v)] += c
-    flow = 0
-    while True:
-        parent = {source: None}
-        queue = [source]
-        while queue and sink not in parent:
-            u = queue.pop(0)
-            for v in adj[u]:
-                if v not in parent and cap[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            return flow, adj, cap
-        # unit capacities: bottleneck is at least 1; find it anyway
-        path = []
-        v = sink
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        bottleneck = min(cap[(u, w)] for u, w in path)
-        for u, w in path:
-            cap[(u, w)] -= bottleneck
-            cap[(w, u)] += bottleneck
-        flow += bottleneck
-
-
-def _flow_reachable(adj, cap, source: int) -> set:
-    seen = {source}
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen and cap[(u, v)] > 0:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
-BIG = 10**6
-
-
-def _vertex_flow(g: Graph, s: int, t: int):
-    """Max number of internally vertex-disjoint s-t paths, plus a separator."""
-    # split v into v_in = 2v, v_out = 2v+1
-    arcs = []
-    for v in range(g.n):
-        c = BIG if v in (s, t) else 1
-        arcs.append((2 * v, 2 * v + 1, c))
-    for i, j in g.edges:
-        arcs.append((2 * i + 1, 2 * j, BIG))
-        arcs.append((2 * j + 1, 2 * i, BIG))
-    value, adj, cap = _edmonds_karp(2 * g.n, arcs, 2 * s + 1, 2 * t)
-    reach = _flow_reachable(adj, cap, 2 * s + 1)
-    sep = tuple(
-        v for v in range(g.n) if v not in (s, t) and 2 * v in reach and 2 * v + 1 not in reach
-    )
-    return value, sep
-
-
-def _edge_flow(g: Graph, s: int, t: int):
-    arcs = []
-    for i, j in g.edges:
-        arcs.append((i, j, 1))
-        arcs.append((j, i, 1))
-    value, adj, cap = _edmonds_karp(g.n, arcs, s, t)
-    reach = _flow_reachable(adj, cap, s)
-    cut = tuple(e for e in g.sorted_edges() if (e[0] in reach) != (e[1] in reach))
-    return value, cut
-
-
-def vertex_connectivity(g: Graph):
-    """(kappa, separator or None) via vertex flows over all non-adjacent pairs."""
-    adj = g.adjacency()
-    if _components(g.n, adj) > 1:
-        return 0, ()
-    if g.is_complete():
-        return g.n - 1, None
-    best = None
-    witness: Optional[tuple] = None
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            if t in adj[s]:
-                continue
-            value, sep = _vertex_flow(g, s, t)
-            if best is None or value < best:
-                best, witness = value, sep
-    if best is None:
-        raise AssertionError("a connected graph that is not complete has a non-adjacent pair")
-    return best, witness
-
-
-def edge_connectivity(g: Graph):
-    """(lambda, edge cut) via edge flows from a fixed source to every other vertex."""
-    adj = g.adjacency()
-    if _components(g.n, adj) > 1:
-        return 0, ()
-    best = None
-    witness = ()
-    for t in range(1, g.n):
-        value, cut = _edge_flow(g, 0, t)
-        if best is None or value < best:
-            best, witness = value, cut
-    if best is None:
-        raise AssertionError("a connected graph on >= 2 vertices has a sink other than 0")
-    return best, witness
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ between runs (timings go to the caller separately, for stderr).
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -229,6 +228,8 @@ def run_verify(
     if threads <= 1:
         consume(map(_worker, tasks))
     else:
+        import multiprocessing  # only a parallel sweep needs it; kept off the import path
+
         with multiprocessing.Pool(threads) as pool:
             consume(pool.imap(_worker, tasks, chunksize=8))
     return VerifyReport(cfg, rows, stage, time.perf_counter() - t0, errors)

@@ -55,6 +55,53 @@ def test_nullspace_matches_definition():
     assert ((np.array(A) @ N.T) % 3 == 0).all()
 
 
+def _assert_rref(R, r, piv):
+    """Unit pivots in ascending columns, each row 0 before its pivot, zeros
+    above and below each pivot, and zero rows last."""
+    assert len(piv) == r and list(piv) == sorted(set(piv))
+    assert not R[r:].any()
+    for i, p in enumerate(piv):
+        assert R[i, p] == 1 and not R[i, :p].any()
+        assert np.count_nonzero(R[:, p]) == 1
+
+
+RREF_SHAPES = [(0, 5), (5, 0), (12, 5), (4, 16), (28, 64)]
+
+
+def _rref_inputs(shape, q):
+    """A uniform matrix and a low-rank product of that shape."""
+    rng = np.random.default_rng([q, *shape])
+    rows, cols = shape
+    k = min(shape) // 2
+    return [rng.integers(0, q, shape), rng.integers(0, q, (rows, k)) @ rng.integers(0, q, (k, cols)) % q]
+
+
+@pytest.mark.parametrize("q", [3, 5, 251])
+@pytest.mark.parametrize("shape", RREF_SHAPES)
+def test_rref_is_reduced_idempotent_and_keeps_the_row_space(q, shape):
+    for M in _rref_inputs(shape, q):
+        R, r, piv = gf.rref(M, q)
+        assert R.shape == M.shape and R.dtype == np.int64
+        _assert_rref(R, r, piv)
+        R2, r2, piv2 = gf.rref(R, q)
+        assert np.array_equal(R, R2) and (r2, piv2) == (r, piv)
+        # the same row space: rank r on both sides, by the independent batched kernel
+        assert gf.rank_batched(M[None], q)[0] == r
+        assert not gf.reduce_mod_rowspace(M, R[:r], q).any()
+
+
+@pytest.mark.parametrize("q", [3, 5, 251])
+@pytest.mark.parametrize("shape", RREF_SHAPES)
+def test_nullspace_is_the_canonical_kernel_basis(q, shape):
+    for M in _rref_inputs(shape, q):
+        N = gf.nullspace(M, q)
+        rank = gf.rank_batched(M[None], q)[0]
+        assert N.shape == (shape[1] - rank, shape[1]) and N.dtype == np.int64
+        assert not (M @ N.T % q).any()
+        _assert_rref(N, len(N), tuple(int(np.flatnonzero(row)[0]) for row in N))
+        assert gf.rank_batched(N[None], q)[0] == len(N)
+
+
 def test_invert():
     A = [[1, 2], [1, 1]]
     Ainv = gf.invert(A, 3)

@@ -19,7 +19,6 @@ from blt.graphs import (
     path_graph,
     star_graph,
     vertex_connectivity,
-    vertex_connectivity_bruteforce,
 )
 
 
@@ -92,29 +91,55 @@ def test_edge_witness_cuts():
     assert edge_connectivity(h)[0] == 0
 
 
-def test_flow_vs_bruteforce_exhaustive_small():
-    for n in (2, 3, 4):
+def _check_against_networkx(g):
+    """Values equal networkx's; each witness has the value's size and disconnects g."""
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    kappa, sep = vertex_connectivity(g)
+    lam, cut = edge_connectivity(g)
+    assert kappa == nx.node_connectivity(G), g
+    assert lam == nx.edge_connectivity(G), g
+    if kappa == 0:
+        assert sep == () and cut == () and not nx.is_connected(G), g
+        return
+    if sep is None:
+        assert g.is_complete() and kappa == g.n - 1, g
+    else:
+        assert len(sep) == kappa and not nx.is_connected(G.subgraph(set(range(g.n)) - set(sep))), g
+    H = G.copy()
+    H.remove_edges_from(cut)
+    assert len(cut) == lam and not nx.is_connected(H), g
+
+
+def test_connectivity_matches_networkx_and_the_edge_bruteforce_to_five_vertices():
+    for n in (2, 3, 4, 5):
         for g in all_labeled_graphs(n):
-            assert vertex_connectivity(g)[0] == vertex_connectivity_bruteforce(g)[0]
-            assert edge_connectivity(g)[0] == edge_connectivity_bruteforce(g)[0]
+            _check_against_networkx(g)
+            assert edge_connectivity(g)[0] == edge_connectivity_bruteforce(g)[0], g
 
 
-def test_flow_vs_bruteforce_n5_sample():
-    rng = np.random.default_rng(42)
-    masks = rng.integers(1, 1 << 10, size=120)
-    for mask in masks:
-        g = graph_from_mask(5, int(mask))
-        assert vertex_connectivity(g)[0] == vertex_connectivity_bruteforce(g)[0]
-        assert edge_connectivity(g)[0] == edge_connectivity_bruteforce(g)[0]
+def test_connectivity_matches_networkx_on_seeded_graphs_of_six_to_eight_vertices():
+    rng = np.random.default_rng(31)
+    for n in (6, 7, 8):
+        for mask in rng.integers(1, 1 << (n * (n - 1) // 2), size=100):
+            _check_against_networkx(graph_from_mask(n, int(mask)))
 
 
-def test_flow_vs_bruteforce_n6_sample():
-    rng = np.random.default_rng(7)
-    masks = rng.integers(1, 1 << 15, size=25)
-    for mask in masks:
-        g = graph_from_mask(6, int(mask))
-        assert vertex_connectivity(g)[0] == vertex_connectivity_bruteforce(g)[0]
-        assert edge_connectivity(g)[0] == edge_connectivity_bruteforce(g)[0]
+def test_connectivity_witnesses_are_pinned():
+    # the lexicographically first least separator, and the cut of the first
+    # least bipartition S containing vertex 0 in increasing bitmask order
+    k4_minus_edge = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert vertex_connectivity(cycle_graph(5)) == (2, (0, 2))
+    assert edge_connectivity(cycle_graph(5)) == (2, ((0, 1), (0, 4)))
+    assert vertex_connectivity(path_graph(4)) == (1, (1,))
+    assert edge_connectivity(path_graph(4)) == (1, ((0, 1),))
+    assert vertex_connectivity(k4_minus_edge) == (2, (2, 3))
+    assert edge_connectivity(k4_minus_edge) == (2, ((0, 2), (0, 3)))
+    assert vertex_connectivity(complete_graph(4)) == (3, None)
+    # vertex 0 is the hub, so the first least S is {0, 1, 2}, not a leaf
+    assert edge_connectivity(star_graph(3)) == (1, ((0, 3),))
 
 
 def test_whitney_inequalities_hold_everywhere():
