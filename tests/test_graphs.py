@@ -113,11 +113,24 @@ def _check_against_networkx(g):
     assert len(cut) == lam and not nx.is_connected(H), g
 
 
-def test_connectivity_matches_networkx_and_the_edge_bruteforce_to_five_vertices():
+def test_flow_vs_bruteforce_exhaustive_small():
+    # every labeled graph with n <= 5 against networkx and the edge brute force
     for n in (2, 3, 4, 5):
         for g in all_labeled_graphs(n):
             _check_against_networkx(g)
             assert edge_connectivity(g)[0] == edge_connectivity_bruteforce(g)[0], g
+
+
+def test_flow_vs_bruteforce_n5_sample():
+    # the values are invariants of the graph: a random relabelling keeps them
+    rng = np.random.default_rng(42)
+    for mask in rng.integers(1, 1 << 10, size=120):
+        g = graph_from_mask(5, int(mask))
+        perm = rng.permutation(5)
+        h = Graph.from_edges(5, [(int(perm[u]), int(perm[v])) for u, v in g.edges])
+        assert vertex_connectivity(h)[0] == vertex_connectivity(g)[0], g
+        assert edge_connectivity(h)[0] == edge_connectivity(g)[0], g
+        assert edge_connectivity_bruteforce(h)[0] == edge_connectivity(g)[0], g
 
 
 def test_connectivity_matches_networkx_on_seeded_graphs_of_six_to_eight_vertices():
