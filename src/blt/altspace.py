@@ -62,12 +62,14 @@ kappa's c(U) = r1 - r2 is at least maxdeg - (b - 1), and a U with a row of
 degree n - 1 is never valid (the proof is in _kappa_walk), so kappa's walk
 asks _dim_scan for r1 = rank(M_U) = n - dim U^perp and r2 = b - dim(U cap
 U^perp) only at the U this count leaves open, and skips a level with none
-open.  _dim_scan reads r1 off the orthogonality bit table _perp_bits, whose
+open.  _dim_scan reads r1 off the orthogonality bit table _perp_table, whose
 row u holds the lines of u^perp: U^perp is the AND of the rows of a basis
 of U, and its popcount (q^d - 1)/(q - 1) gives d = dim U^perp.  r2 is
 forced at b = 1 (0) and where r1 = n (b), is one bit of the table at b = 2,
-and is ranked from M_U B_U^t for the other U at b >= 3.  The bit table is
-built only when some U at b >= 2 stays open; on K6 and K7 none does.
+and is ranked from M_U B_U^t for the other U at b >= 3.  The table's rows
+are filled on demand, only those of the lines that the open U use (on the
+seed-1 C6 image 13 of 364), so a space that opens no U at b >= 2 fills
+none; on K6 and K7 none is open.
 lambda's filter reads r2 too: for every complement V, cut(U, V) >=
 dim{B_U A} - r2(r2-1)/2 (the proof is in _level_bounds), so lambda_space
 ranks the cuts of a U's complements (_cut_ranks_for_u) only where no bound
@@ -105,7 +107,7 @@ from .gf import GuardExceeded  # noqa: F401  (re-exported; defined with the budg
 from .gf import Subspace, check_guard, field, rank_batched, subspace_matrices
 from .graphs import Graph
 
-_CHUNK = 2**18  # entries in one gathered stack or bit-table block of the level scans (_degrees, _perp_bits, _dim_scan, _level_bounds, _cut_ranks_for_u)
+_CHUNK = 2**18  # entries in one gathered stack or bit-table block of the level scans (_degrees, _perp_dims, _dim_scan, _level_bounds, _cut_ranks_for_u)
 _ADJOINT_CHUNK = 2**15  # int64 entries in one chunk of first_decomposable's constraint rows
 
 
@@ -207,41 +209,16 @@ class AltMatrixSpace:
         return t
 
     @cached_property
-    def _perp_bits(self) -> np.ndarray:
-        """Read-only (L, 8 ceil(L/64)) uint8 table: row u is the packed bitset
-        (np.packbits order) of the lines x of projective_lines(n, q) with
-        u^t A_k x = 0 for every k, that is of the lines of u^perp.  Rows are
-        padded with clear bits to whole 64-bit words, which _perp_dims counts.
-
-        _dim_scan reads dim U^perp off the AND of the rows of a basis of U.
-        Only a block of the table needs products.  u lies in u^perp, so the
-        diagonal is set.  A line of degree n - 1 has u^perp = <u>, so its row
-        holds the diagonal bit alone, and since u^t A x = -x^t A u its column
-        is empty too.  The rest, the lines of degree < n - 1 against each
-        other, are the products of their row-table entries with their
-        representatives, in the table dtype, whose bound n (q-1)^2 + q holds
-        a row times n residues.  Row blocks of about _CHUNK product entries
-        are packed as they are made.  Built on first use, once per space
-        object: about L^2/8 bytes, 17 KB at n = 6, q = 3.
+    def _perp_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(bits, filled): the (L, 8 ceil(L/64)) uint8 orthogonality bit table
+        and the bool mask of its filled rows, all zero when made on first use.
+        Filled row u packs (np.packbits order) the lines x of
+        projective_lines(n, q) with u^t A_k x = 0 for every k, the lines of
+        u^perp, padded with clear bits to whole 64-bit words.  _perp_dims
+        fills the rows its U use and hands out read-only views.
         """
-        n, q, m = self.n, self.q, self.dim
-        L = (q**n - 1) // (q - 1)
-        bits = np.zeros((L, -(-L // 64) * 8), dtype=np.uint8)
-        diag = np.arange(L)
-        bits[diag, diag >> 3] = 0x80 >> (diag & 7)
-        open_lines = np.flatnonzero(_line_degrees(self) < n - 1)
-        if open_lines.size:
-            T = self._row_table
-            reps = gf.projective_lines(n, q)[open_lines].T.astype(T.dtype)
-            step = max(1, _CHUNK // max(m * len(open_lines), L))
-            row = np.zeros((min(step, len(open_lines)), bits.shape[1] * 8), dtype=bool)
-            for lo in range(0, len(open_lines), step):
-                idx = open_lines[lo : lo + step]
-                prod = gf._mod(T[idx] @ reps, q)  # (rows, m, open lines)
-                row[: len(idx), open_lines] = ~prod.any(axis=1)
-                bits[idx] = np.packbits(row[: len(idx)], axis=1)
-        bits.setflags(write=False)
-        return bits
+        L = (self.q**self.n - 1) // (self.q - 1)
+        return np.zeros((L, -(-L // 64) * 8), dtype=np.uint8), np.zeros(L, dtype=bool)
 
     def __repr__(self):
         return f"AltMatrixSpace(n={self.n}, q={self.q}, dim={self.dim})"
@@ -322,11 +299,13 @@ def _dim_scan(space: AltMatrixSpace, b: int, idx: np.ndarray):
     _level_bounds).
     - b = 1: r1 is the line degree (_line_degrees), and u^t A u = 0 gives
       r2 = 0.
-    - b >= 2: U^perp is the AND of the _perp_bits rows of the RREF rows of
-      U, taken _CHUNK bytes at a time; its popcount (q^d - 1)/(q - 1) gives
-      d = dim U^perp.  Where r1 = n, U^perp = 0 gives r2 = b.
+    - b >= 2: U^perp is the AND of the bit-table rows of the RREF rows of
+      U, taken _CHUNK bytes at a time, which _perp_dims fills first where
+      they are empty; its popcount (q^d - 1)/(q - 1) gives d = dim U^perp.
+      Where r1 = n, U^perp = 0 gives r2 = b.
     - b = 2: the rows of M_U B_U^t are (0, g_k) and (-g_k, 0) with
-      g_k = u1^t A_k u2, so r2 = 2 unless u2 lies in u1^perp: one bit.
+      g_k = u1^t A_k u2, so r2 = 2 unless u2 lies in u1^perp: one bit of
+      the row of u1 that _perp_dims has just filled.
     - b >= 3: M_U and B_U are gathered from the row table and from
       projective_lines, multiplied in the table dtype and ranked for the U
       with r1 < n only.
@@ -335,12 +314,13 @@ def _dim_scan(space: AltMatrixSpace, b: int, idx: np.ndarray):
     n, q, m = space.n, space.q, space.dim
     if b == 1:
         return _line_degrees(space)[idx], np.zeros(len(idx), dtype=np.int64)
-    if not len(idx):  # so an empty ask builds no _perp_bits
+    if not len(idx):  # so an empty ask fills no row of the bit table
         return np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int8)
     rows = gf.subspace_row_lines(n, b, q)[idx]
-    r1 = n - _perp_dims(space, rows)
+    d, bits = _perp_dims(space, rows)
+    r1 = n - d
     if b == 2:
-        bits, u1, u2 = space._perp_bits, rows[:, 0], rows[:, 1]
+        u1, u2 = rows[:, 0], rows[:, 1]
         return r1, 2 - 2 * ((bits[u1, u2 >> 3] >> (7 - (u2 & 7))) & 1).astype(np.int8)
     r2 = np.zeros(len(rows), dtype=np.int8)
     r2[r1 == n] = b
@@ -355,16 +335,47 @@ def _dim_scan(space: AltMatrixSpace, b: int, idx: np.ndarray):
     return r1, r2
 
 
-def _perp_dims(space: AltMatrixSpace, rows: np.ndarray) -> np.ndarray:
-    """dim U^perp (int8) for each row of line indices spanning a U, from _perp_bits.
+def _perp_dims(space: AltMatrixSpace, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(d, bits): dim U^perp (int8) for each row of line indices spanning a
+    U, and a read-only view of the bit table (space._perp_table) in which the
+    rows of every line in rows are filled.
 
-    The bits of each 64-bit word are counted by the classic shift-and-mask
-    sum: np.bitwise_count needs numpy >= 2.0, and a 256-entry byte table
-    took three times as long at n = 7.  A count that is not
-    (q^d - 1)/(q - 1) raises.
+    First the rows still empty are filled, once each, found with a bool mask
+    (the first np.unique of a process imports numpy.ma, 10-20 ms).  u lies
+    in u^perp, so the diagonal is set.  A line of degree n - 1 has u^perp =
+    <u>, so its row holds the diagonal bit alone, and since u^t A x =
+    -x^t A u its column is empty too.  The other rows are the products of
+    their row-table entries with the representatives of the lines of degree
+    < n - 1, in the table dtype, whose bound n (q-1)^2 + q holds a row times
+    n residues, packed in row blocks of about _CHUNK product entries.
+
+    U^perp is then the AND of the rows of a basis of U.  The bits of each
+    64-bit word are counted by the classic shift-and-mask sum:
+    np.bitwise_count needs numpy >= 2.0, and a 256-entry byte table took
+    three times as long at n = 7.  A count that is not (q^d - 1)/(q - 1)
+    raises.
     """
-    n, q = space.n, space.q
-    bits = space._perp_bits
+    n, q, m = space.n, space.q, space.dim
+    bits, filled = space._perp_table
+    want = np.zeros(len(filled), dtype=bool)
+    want[rows] = True
+    new = np.flatnonzero(want & ~filled)
+    if new.size:
+        degs = _line_degrees(space)
+        bits[new, new >> 3] = 0x80 >> (new & 7)
+        new, open_lines = new[degs[new] < n - 1], np.flatnonzero(degs < n - 1)
+        T = space._row_table
+        reps = gf.projective_lines(n, q)[open_lines].T.astype(T.dtype)
+        step = max(1, _CHUNK // max(m * len(open_lines), len(filled)))
+        row = np.zeros((min(step, len(new)), bits.shape[1] * 8), dtype=bool)
+        for lo in range(0, len(new), step):
+            idx = new[lo : lo + step]
+            prod = gf._mod(T[idx] @ reps, q)  # (rows, m, open lines)
+            row[: len(idx), open_lines] = ~prod.any(axis=1)
+            bits[idx] = np.packbits(row[: len(idx)], axis=1)
+        filled |= want
+    bits = bits.view()
+    bits.setflags(write=False)
     dim_of = np.full(bits.shape[1] * 8 + 1, -1, dtype=np.int8)  # lines of a d-dim space -> d, any count -> -1
     dim_of[(q ** np.arange(n + 1) - 1) // (q - 1)] = np.arange(n + 1)
     d = np.zeros(len(rows), dtype=np.int8)
@@ -381,7 +392,7 @@ def _perp_dims(space: AltMatrixSpace, rows: np.ndarray) -> np.ndarray:
         d[lo : lo + step] = dim_of[((x * 0x0101010101010101) >> 56).sum(axis=1)]
     if (d < 0).any():
         raise AssertionError("an orthogonal space must hold (q^d - 1)/(q - 1) lines")
-    return d
+    return d, bits
 
 
 def _line_degrees(space: AltMatrixSpace) -> np.ndarray:
@@ -390,8 +401,8 @@ def _line_degrees(space: AltMatrixSpace) -> np.ndarray:
     For alternating A the row u^t A is -(A u)^t, so deg(u) = rank(M_u): the
     degrees are the r1 of level 1, cached per space object (_degrees).  They
     bound kappa's and lambda's levels before any scan (_row_degree_max),
-    decide is_fully_connected and choose the block of _perp_bits that needs
-    products.
+    decide is_fully_connected and choose the rows and columns of the bit
+    table that need products (_perp_dims).
     """
     return space._degrees
 
@@ -441,8 +452,8 @@ def _kappa_walk(space: AltMatrixSpace) -> Tuple[int, Optional[np.ndarray]]:
     neither the value nor the first U attaining it.  The bound comes from
     the cached line degrees (_row_degree_max); _dim_scan computes r1 and r2
     only for the U it leaves open, and a level with none open is skipped,
-    so _perp_bits is built only when some U at b >= 2 is open.  At b = 1
-    the bound is exact: it is the line degree.
+    so a row of the bit table is filled only for a line that some open U
+    at b >= 2 uses.  At b = 1 the bound is exact: it is the line degree.
     """
     n, q = space.n, space.q
     best, best_u = n - 1, None
@@ -699,6 +710,12 @@ def _cut_ranks_for_u(space: AltMatrixSpace, u_rows: np.ndarray, cap: int):
     return out, Vs
 
 
+def _line_complement(v: np.ndarray) -> np.ndarray:
+    """complement_matrices(v[None, :], q)[0] of a line representative v in
+    closed form: the rows e_c, c ascending, for every c but the pivot of v."""
+    return np.delete(np.eye(len(v), dtype=np.int64), int(np.flatnonzero(v)[0]), axis=0)
+
+
 def _level_bounds(space: AltMatrixSpace, b: int, best: int) -> np.ndarray:
     """Lower bounds on the cut dimension of each dim-b subspace U, clamped at best.
 
@@ -825,8 +842,7 @@ def lambda_space(space: AltMatrixSpace, *, force: bool = False) -> LambdaResult:
             raise AssertionError("a decomposable space of dimension >= 2 has a split")
         return LambdaResult(0, w.U, w.V, space)
     best, v = delta_space(space, force=force)  # the dim-1 pass
-    u_rows = v[None, :]
-    v_rows = gf.complement_matrices(u_rows, q)[0]
+    u_rows, v_rows = v[None, :], _line_complement(v)
     if best > 1:
         lines = gf.projective_lines(n, q)
         for b in range(2, n // 2 + 1):
@@ -1018,7 +1034,8 @@ def kappa_gt_lambda_instance(s: int, t: int, q: int) -> AltMatrixSpace:
 
 
 def random_alt_space(n: int, m: int, q: int, rng: np.random.Generator) -> AltMatrixSpace:
-    """Uniform-ish random alternating space of exact dimension m."""
+    """Uniform random alternating space of exact dimension m: every
+    m-dimensional subspace has |GL_m(F_q)| ordered bases of independent draws."""
     limit = n * (n - 1) // 2
     if not 0 <= m <= limit:
         raise ValueError(f"dimension must be in [0, {limit}]")

@@ -11,9 +11,9 @@ Conventions used throughout the package:
 Enumeration of subspaces is deterministic: pivot-column patterns in
 lexicographic order, then free entries in row-major base-q counter order.
 A level is cached once, as subspace_row_lines: the positions in
-projective_lines of each subspace's RREF rows, built in closed form in
-int32 (int64 past 2^31 lines).  subspace_matrices gathers the int64 bases
-from it on each call.
+projective_lines of each subspace's RREF rows, built in closed form as one
+product of per-row line sets per pivot pattern, in int32 (int64 past 2^31
+lines).  subspace_matrices gathers the int64 bases from it on each call.
 The batched kernel at the bottom, rank_batched, does Gaussian elimination
 over a leading batch axis; every connectivity search ends in it.  It
 eliminates along the shorter side of each matrix, stores the stack
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -349,16 +349,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _free_cells(n: int, pivots: Sequence[int]):
-    pivset = set(pivots)
-    cells = []
-    for i, p in enumerate(pivots):
-        for c in range(p + 1, n):
-            if c not in pivset:
-                cells.append((i, c))
-    return cells
-
-
 def subspace_matrices(n: int, k: int, q: int) -> np.ndarray:
     """All k-dim subspaces of F_q^n as a (N, k, n) stack of RREF bases.
 
@@ -400,26 +390,32 @@ def subspace_row_lines(n: int, k: int, q: int) -> np.ndarray:
 
     The one cached enumeration of a level, built in closed form per pivot
     pattern.  An RREF row is a line representative: row i with pivot p
-    starts at its block offset (q^n - q^(n-p))/(q - 1), and each free cell
-    (i, c) adds its counter digit times q^(n-1-c).  The cells are added one
-    at a time into the pattern's (q^f, k) block of the output, the digit
-    running along one axis of a reshaped view, so no digit matrix is formed.
-    The dtype is int32 while L = (q^n - 1)/(q - 1) < 2^31, so it holds
-    every index up to L - 1, else int64.  Cached and read-only.
+    starts at its block offset (q^n - q^(n-p))/(q - 1), and each of its free
+    cells c adds a digit times q^(n-1-c).  So row i runs over one set of
+    lines, the offset plus the base-q values of its own free cells, in
+    ascending order, and the rows use disjoint cells: the pattern's block
+    is the product of the row sets, in canonical order with row 0 as the
+    outer axis.  Each set is assigned once into the block reshaped to one
+    axis per row.  The dtype is int32 while L = (q^n - 1)/(q - 1) < 2^31,
+    so it holds every index up to L - 1, else int64.  Cached and read-only.
     """
     field(q)
     dtype = np.int32 if (q**n - 1) // (q - 1) < 2**31 else np.int64
     out = np.empty((gaussian_binomial(n, k, q), k), dtype=dtype)
     lo = 0
     for pivots in combinations(range(n), k):
-        cells = _free_cells(n, pivots)
-        f = len(cells)
-        block = out[lo : lo + q**f]
+        sets, f = [], 0
+        for p in pivots:
+            s = np.array([(q**n - q ** (n - p)) // (q - 1)], dtype=np.int64)
+            for c in range(p + 1, n):
+                if c not in pivots:
+                    s = (s[:, None] + np.arange(q) * q ** (n - 1 - c)).ravel()
+                    f += 1
+            sets.append(s)
+        block = out[lo : lo + q**f].reshape([len(s) for s in sets] + [k])
         lo += q**f
-        block[:] = [(q**n - q ** (n - p)) // (q - 1) for p in pivots]
-        for j, (i, c) in enumerate(cells):
-            row = block.reshape(q**j, q, q ** (f - 1 - j), k)[:, :, :, i]  # axis 1 is the digit of cell j
-            row += np.arange(q, dtype=dtype)[:, None] * q ** (n - 1 - c)
+        for i, s in enumerate(sets):
+            block[..., i] = s.reshape([-1 if j == i else 1 for j in range(k)])
     out.setflags(write=False)
     return out
 

@@ -657,11 +657,22 @@ def _perp_cases():
             yield n, m, q
 
 
+def _filled_rows(space):
+    """The lines whose rows of the orthogonality bit table are filled."""
+    return np.flatnonzero(space._perp_table[1])
+
+
 @pytest.mark.parametrize("n, m, q", list(_perp_cases()))
 def test_perp_bits_equal_the_product_table(n, m, q):
+    # fill every row, in a seeded order and in two asks, so a row filled by
+    # the first ask is read back by the second
     sp = random_alt_space(n, m, q, np.random.default_rng(100 * n + m + q))
     L = (q**n - 1) // (q - 1)
-    bits = sp._perp_bits
+    assert _filled_rows(sp).size == 0
+    order = np.random.default_rng(L).permutation(L)
+    altspace._perp_dims(sp, order[: L // 2, None])
+    d, bits = altspace._perp_dims(sp, order[:, None])
+    assert np.array_equal(_filled_rows(sp), np.arange(L))
     assert bits.dtype == np.uint8 and bits.shape == (L, -(-L // 64) * 8)
     table = np.unpackbits(bits, axis=1)[:, :L].astype(bool)
     assert not np.unpackbits(bits, axis=1)[:, L:].any()  # the padding stays clear
@@ -670,31 +681,57 @@ def test_perp_bits_equal_the_product_table(n, m, q):
     deg = altspace._line_degrees(sp)
     assert (table[deg == n - 1].sum(axis=1) == 1).all()
     assert np.array_equal(table.sum(axis=1), (q ** (n - deg) - 1) // (q - 1))
+    assert np.array_equal(d, n - deg[order])  # dim u^perp = n - deg(u)
 
 
 def test_perp_dims_refuse_a_count_that_is_no_subspace():
     sp = space_from_graph(cycle_graph(4), 3)  # 40 lines
     table = np.zeros((40, 64), dtype=bool)
     table[:, 1:40] = True  # every row misses line 0: each AND holds 39 lines, no (3^d - 1)/2
-    bits = np.packbits(table, axis=1)
-    vars(sp)["_perp_bits"] = bits
+    vars(sp)["_perp_table"] = (np.packbits(table, axis=1), np.ones(40, dtype=bool))  # every row filled
     with pytest.raises(AssertionError, match="lines"):
         _scan(sp, 2)
 
 
 def test_perp_bits_are_read_only_and_built_once():
     sp = space_from_graph(cycle_graph(6), 3)
-    assert "_perp_bits" not in vars(sp)  # built on first use, not with the space
     delta_space(sp)
-    assert "_perp_bits" not in vars(sp)  # level 1 does not use it
+    assert _filled_rows(sp).size == 0  # level 1 fills no row
     kappa_space(sp)
-    bits = sp._perp_bits
-    assert not bits.flags.writeable
+    bits, filled = sp._perp_table
+    rows = _filled_rows(sp)
+    assert 0 < rows.size < len(filled)
+    d, view = altspace._perp_dims(sp, rows[:, None])
+    assert not view.flags.writeable and np.shares_memory(view, bits)
     with pytest.raises(ValueError):
-        bits[0, 0] = 0
+        view[rows[0], 0] = 0
+    kept = bits[rows].copy()
+    # a filled row is never recomputed: with the row table gone, asking for
+    # the filled rows again still answers, from the table alone
+    vars(sp)["_row_table"] = None
+    assert np.array_equal(altspace._perp_dims(sp, rows[:, None])[0], d)
+    del vars(sp)["_row_table"]
     lambda_space(sp)
     is_orth_decomposable(sp)
-    assert sp._perp_bits is bits
+    assert sp._perp_table[0] is bits and np.array_equal(bits[rows], kept)
+
+
+def test_bit_table_fills_only_the_rows_of_the_scanned_u(monkeypatch):
+    # on the seed-1 C6 image, kappa and lambda fill exactly the rows of the
+    # lines that occur in the U _dim_scan is asked about at b >= 2
+    c6 = random_isometry_image(space_from_graph(cycle_graph(6), 3), 1)[0]
+    asked = set()
+    dim_scan = altspace._dim_scan
+
+    def scanned(space, b, idx):
+        if b >= 2:
+            asked.update(gf.subspace_row_lines(space.n, b, space.q)[idx].ravel().tolist())
+        return dim_scan(space, b, idx)
+
+    monkeypatch.setattr(altspace, "_dim_scan", scanned)
+    assert kappa_space(c6)[0] == 2 and lambda_space(c6).value == 2
+    assert _filled_rows(c6).tolist() == sorted(asked)
+    assert len(asked) == 13  # of 364 lines
 
 
 def _level_scan_spaces():
@@ -712,7 +749,7 @@ def _level_scan_spaces():
 
 def test_levels_past_one_rank_only_the_open_r2_stacks(monkeypatch):
     # level 1 is the one level ranked by elimination; level 2 reads r1 and r2
-    # off _perp_bits, and level 3 ranks M_U B_U^t for the U with r1 < n only
+    # off the bit table, and level 3 ranks M_U B_U^t for the U with r1 < n only
     rank_batched = altspace.rank_batched
     batches = []
 
@@ -737,7 +774,7 @@ def test_lambda_at_n3_never_builds_perp_bits():
     p3 = space_from_graph(path_graph(3), 83)
     assert lambda_space(p3, force=True).value == 1
     assert kappa_space(p3, force=True)[0] == 1
-    assert "_perp_bits" not in vars(p3)  # n <= 3 has no level b >= 2
+    assert _filled_rows(p3).size == 0  # n <= 3 has no level b >= 2
 
 
 def test_space_from_graph_is_the_canonical_basis():
@@ -819,8 +856,8 @@ def test_kappa_count_bound_is_sound():
 
 def test_kappa_counts_before_it_computes_r1(monkeypatch):
     # on the K6 image and forced K7 every line has degree n - 1, so kappa
-    # and lambda close every U at b >= 2 by counting, and _perp_bits is
-    # never built; on the seed-1 C6 image the r1 computed per level is pinned
+    # and lambda close every U at b >= 2 by counting, and no row of the bit
+    # table is filled; on the seed-1 C6 image the r1 computed per level is pinned
     levels = _record_levels(monkeypatch)
     k6 = random_isometry_image(space_from_graph(complete_graph(6), 3), 4)[0]
     k7 = space_from_graph(complete_graph(7), 3)
@@ -829,7 +866,7 @@ def test_kappa_counts_before_it_computes_r1(monkeypatch):
         assert kappa_space(sp, force=force)[0] == lambda_space(sp, force=force).value == sp.n - 1
         assert sum(k for name, _, k in levels if name == "r1") == 0
         assert {b for _, b, _ in levels} == set(range(1, sp.n // 2 + 1))  # every level was counted
-        assert "_perp_bits" not in vars(sp)
+        assert _filled_rows(sp).size == 0
     c6 = random_isometry_image(space_from_graph(cycle_graph(6), 3), 1)[0]
     levels.clear()
     assert kappa_space(c6)[0] == 2
@@ -978,6 +1015,38 @@ def test_lambda_zero_witness_is_the_decomposability_split():
     w = is_orth_decomposable(sp)[1]
     assert (w.U, w.V) == (res.U, res.V)
     assert _first_split_at(sp, 0) == (res.U, _span_of_units(3, (1, 2)))
+
+
+def test_line_complement_is_the_first_complement():
+    # lambda's dim-1 witness V in closed form equals the first entry of the
+    # complement enumeration for every line with n <= 4 at q in {3, 5, 7}
+    for q in (3, 5, 7):
+        for n in range(2, 5):
+            for v in gf.projective_lines(n, q):
+                want = gf.complement_matrices(v[None, :], q)[0]
+                got = altspace._line_complement(v)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, q, v)
+
+
+def _space_rows(q, max_n):
+    """kappa (value, W), lambda (value, U, V) and delta (value, v) of every
+    graph space with 2 <= n <= max_n at q, in sweep order."""
+    out = []
+    for n in range(2, max_n + 1):
+        for mask in range(1, 1 << (n * (n - 1) // 2)):
+            sp = space_from_graph(graph_from_mask(n, mask), q)
+            (k, W), lam, (d, v) = kappa_space(sp), lambda_space(sp), delta_space(sp)
+            out.append((k, W.rows, lam.value, lam.U.rows, lam.V.rows, d, v.tolist()))
+    return out
+
+
+def test_every_odd_prime_gives_the_q3_rows():
+    # the values must agree, since each equals the graph's; that the witnesses
+    # agree too is an observation on these graphs, not a theorem
+    base = _space_rows(3, 5)
+    for q, max_n in ((5, 4), (7, 4), (11, 4), (13, 4), (7, 5)):
+        got = _space_rows(q, max_n)
+        assert got == base[: len(got)], (q, max_n)
 
 
 @pytest.mark.parametrize(
