@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the perfbench workloads over several seeds and write BENCH_<label>.json.
 
-For each seed 0..N-1 in turn, every chosen workload gets one end-to-end run,
-`perfbench/run.py --trace 0`, so the workloads alternate and slow drift of
-the machine spreads over all of them.  BENCH_<label>.json, written to the
+For each seed 0..N-1 in turn, every chosen workload (by default each one
+that BENCHMARK.json lists) gets one end-to-end run, `perfbench/run.py
+--trace 0`, so the workloads alternate and slow drift of the machine
+spreads over all of them.  BENCH_<label>.json, written to the
 current directory, holds for each workload and end-to-end metric the median,
 the interquartile range and the values of the runs, whether every run was
 correct, and the machine facts (core count, Python and numpy versions) with
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("sweep-space-n5", "space-n6", "chain-n4")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -60,7 +61,7 @@ def side(runs) -> dict:
 
 def change_wins(runs, against) -> dict:
     """Per workload and metric, the seeds in which runs beats against."""
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     out = {}
     for w, rs in runs.items():
         out[w] = {}
@@ -81,7 +82,8 @@ def main() -> int:
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     ap.add_argument("--seeds", type=int, required=True, help="runs per workload, seeds 0..N-1")
     ap.add_argument("--seconds", type=float, required=True, help="perfbench --seconds of each run")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    names = [w["name"] for w in BENCHMARK["workloads"]]
+    ap.add_argument("--workloads", nargs="+", choices=names, default=names)
     ap.add_argument("--against", type=Path, help="another checkout, run seed by seed next to this one")
     args = ap.parse_args()
     if args.seeds < 1 or args.seconds <= 0:

@@ -103,11 +103,14 @@ def cmd_graph_conn(args) -> int:
     kappa, vcut = vertex_connectivity(g)
     lam, ecut = edge_connectivity(g)
     delta = min_degree(g)
+    # the witnesses in the edge list's 1-indexed numbering
+    sep = None if vcut is None else [v + 1 for v in sorted(vcut)]
+    cut = [(i + 1, j + 1) for i, j in sorted(ecut)]
     if args.format == "text":
         lines = [
             f"n={g.n} m={len(g.edges)}",
-            f"kappa  = {kappa}" + (f"  separator: {sorted(vcut)}" if vcut else ""),
-            f"lambda = {lam}" + (f"  edge cut: {sorted(ecut)}" if ecut else ""),
+            f"kappa  = {kappa}" + (f"  separator: {sep}" if sep else ""),
+            f"lambda = {lam}" + (f"  edge cut: {cut}" if cut else ""),
             f"delta  = {delta}",
         ]
         _emit("\n".join(lines), args.out)
@@ -119,8 +122,8 @@ def cmd_graph_conn(args) -> int:
             "lambda": lam,
             "delta": delta,
             "witnesses": {
-                "vertex_separator": sorted(vcut) if vcut is not None else None,
-                "edge_cut": sorted(list(e) for e in ecut),
+                "vertex_separator": sep,
+                "edge_cut": [list(e) for e in cut],
             },
         }
         _emit(_json_dump(payload), args.out)

@@ -101,13 +101,6 @@ def parse_graph(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def format_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    for i, j in g.sorted_edges():
-        lines.append(f"{i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"
-
-
 def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
 
@@ -193,27 +186,19 @@ def edge_connectivity_bruteforce(g: Graph):
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled graph on n vertices with at least one edge.
-
-    Order: edge bitmask 1, 2, ... over the lexicographic pair list, so the
-    sequence is deterministic and indexable by mask.
-    """
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1, 1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        yield Graph.from_edges(n, edges)
+    """Every labeled graph on n vertices with at least one edge, as
+    graph_from_mask(n, mask) for mask 1, 2, ..., so indexable by mask."""
+    for mask in range(1, 1 << n * (n - 1) // 2):
+        yield graph_from_mask(n, mask)
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
+    """The graph whose edges are the set bits of mask: bit k is the k-th
+    pair of the lexicographic pair list (0, 1), (0, 2), ..., (n - 2, n - 1)."""
     pairs = list(combinations(range(n), 2))
     if not (1 <= mask < 1 << len(pairs)):
         raise ValueError(f"mask out of range for n={n}")
     return Graph.from_edges(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
-
-
-def graph_mask(g: Graph) -> int:
-    pairs = list(combinations(range(g.n), 2))
-    return sum(1 << k for k, e in enumerate(pairs) if e in g.edges)
 
 
 def path_graph(n: int) -> Graph:

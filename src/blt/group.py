@@ -27,11 +27,12 @@ pieces of v-rank >= 2 decompose genuinely, so the convention only speaks for
 rank 1.
 
 The pairs and their cross rows phi(U_J, U_K) do not depend on X, so
-_pair_blocks lists them once per ambient, in canonical order, and each
-search tests them against its own X.  lambda_group needs no X at all: one
-streaming pass over the blocks ranks the cross rows of each pair, and N_X
-is the least span phi(U_J, U_K) among the pairs of least dimension.  Value
-and witness are those of the per-X scan (argument in lambda_group).
+_pair_blocks lists them once per ambient, in canonical order.  A
+decomposability test looks for a pair of zero cross rows.  lambda_group
+needs no X either: one streaming pass over the blocks ranks the cross rows
+of each pair, and N_X is the least span phi(U_J, U_K) among the pairs of
+least dimension.  Value and witness are those of the per-X scan (argument
+in lambda_group).
 
 A fast path recovers the bilinear map from commutators and delegates to the
 map-level solvers.  For kappa the structured and the fast path share the
@@ -51,7 +52,7 @@ import numpy as np
 from . import gf
 from .altspace import first_restriction, matrices_from_json, matrices_to_json
 from .bilinear import AltBilinearMap, is_surjective, kappa_map, lambda_map
-from .gf import Subspace, check_guard, field, rank_batched, reduce_mod_rowspace, subspace_matrices
+from .gf import Subspace, check_guard, field, rank_batched, subspace_matrices
 
 _PAIR_CHUNK = 2**14  # entries in one direct-sum stack of _pair_blocks
 
@@ -116,17 +117,6 @@ class BaerGroup:
     def inverse(self, g: GroupElement) -> GroupElement:
         p = self.p
         return GroupElement(tuple(-a % p for a in g.v), tuple(-a % p for a in g.u))
-
-    def power(self, g: GroupElement, k: int) -> GroupElement:
-        if k < 0:
-            return self.power(self.inverse(g), -k)
-        acc, base = self.identity, g
-        while k:
-            if k & 1:
-                acc = self.multiply(acc, base)
-            base = self.multiply(base, base)
-            k >>= 1
-        return acc
 
     def commutator(self, g: GroupElement, h: GroupElement) -> GroupElement:
         gh = self.multiply(g, h)
@@ -292,7 +282,7 @@ def _pair_blocks(P: BaerGroup, ambient: Subspace):
     canonical order: a ascending, then j in subspace_matrices order, then k
     ascending (k >= j when a = d - a).  A block covers consecutive j, at
     most about _PAIR_CHUNK entries of direct-sum tests.  Nothing here
-    depends on a central X: each search tests the cross rows against its own.
+    depends on a central X.
 
     Only direct pairs are listed: if a non-direct pair has phi(U_J, U_K) <= X,
     replacing U_K by a complement of U_J n U_K inside U_K keeps that and
@@ -337,9 +327,9 @@ def _pair_subspaces(P: BaerGroup, ambient: Subspace, a: int, j: int, k: int):
     return Subspace.from_vectors(J, P.n, p), Subspace.from_vectors(K, P.n, p)
 
 
-def _pair_decomposable(P: BaerGroup, ambient: Subspace, X: Subspace):
+def _pair_decomposable(P: BaerGroup, ambient: Subspace):
     """Search proper nonzero U_J, U_K <= ambient with U_J + U_K = ambient and
-    phi(U_J, U_K) <= X.  Returns (found, (U_J, U_K) or None).
+    phi(U_J, U_K) = 0.  Returns (found, (U_J, U_K) or None).
 
     The pairs are those of _pair_blocks, in its canonical order, so the
     returned pair is the first one and always a direct sum.
@@ -352,29 +342,19 @@ def _pair_decomposable(P: BaerGroup, ambient: Subspace, X: Subspace):
         raise ValueError("decomposability of the trivial piece is undefined")
     if d == 1:
         return True, None
-    x_basis = X.mat()
     for a, js, ks, cross in _pair_blocks(P, ambient):
-        resid = reduce_mod_rowspace(cross.reshape(-1, P.m), x_basis, P.p)
-        clean = ~resid.reshape(len(ks), -1).any(axis=1)
+        clean = ~cross.reshape(len(ks), -1).any(axis=1)
         if clean.any():
             t = int(clean.argmax())
             return True, _pair_subspaces(P, ambient, a, int(js[t]), int(ks[t]))
     return False, None
 
 
-def is_centrally_decomposable(
-    P: BaerGroup,
-    modulo: Optional[Subspace] = None,
-    *,
-    force: bool = False,
-):
-    """Is P (or P / N_modulo for modulo <= F^m) a central product of two
-    proper subgroups?  Returns (bool, (U_J, U_K) or None)."""
-    X = modulo if modulo is not None else Subspace.zero(P.m, P.p)
-    if X.n != P.m or X.q != P.p:
-        raise ValueError("modulo must be a subspace of the codomain F_p^m")
+def is_centrally_decomposable(P: BaerGroup, *, force: bool = False):
+    """Is P a central product of two proper subgroups?  Returns
+    (bool, (U_J, U_K) or None)."""
     check_guard("n+m", P.n + P.m, gf.GROUP_GUARD_EXP, force)
-    return _pair_decomposable(P, Subspace.full(P.n, P.p), X)
+    return _pair_decomposable(P, Subspace.full(P.n, P.p))
 
 
 def decomposition_factors(P: BaerGroup, pair, X: Optional[Subspace] = None):
@@ -430,12 +410,11 @@ def kappa_group(
     if method != "structured":
         raise ValueError("method must be 'structured' or 'fast'")
     check_guard("n+m", P.n + P.m, gf.GROUP_GUARD_EXP, force)
-    zero = Subspace.zero(P.m, P.p)
     pair = None
 
     def exact(U: Subspace) -> bool:
         nonlocal pair
-        found, pair = _pair_decomposable(P, U, zero)
+        found, pair = _pair_decomposable(P, U)
         return found
 
     s, U = first_restriction(P.phi.tensor, P.n, P.p, exact)
@@ -517,24 +496,6 @@ def group_to_json(P: BaerGroup) -> str:
 def group_from_json(text: str) -> BaerGroup:
     p, n, arr = matrices_from_json(text, "group", "p", "phi", count="m")
     return BaerGroup(p, AltBilinearMap.from_matrices(arr, n, p))
-
-
-def parse_element(text: str, P: BaerGroup) -> GroupElement:
-    """Parse 'v1,v2,...;u1,u2,...' into a group element."""
-    if ";" not in text:
-        raise ValueError("element literal must be 'v1,..,vn;u1,..,um'")
-    v_part, u_part = text.split(";", 1)
-
-    def ints(part, want, label):
-        items = [s.strip() for s in part.split(",")] if part.strip() else []
-        if len(items) != want:
-            raise ValueError(f"expected {want} {label}-coordinates, got {len(items)}")
-        try:
-            return tuple(int(s) for s in items)
-        except ValueError:
-            raise ValueError(f"{label}-coordinates must be integers") from None
-
-    return P.element(ints(v_part, P.n, "v"), ints(u_part, P.m, "u"))
 
 
 def format_element(g: GroupElement) -> str:

@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf import LATTICE_GUARD_ORDER, TABLE_GUARD_ORDER, all_vectors, check_guard, subspace_matrices
-from .group import BaerGroup, GroupElement, center
+from .gf import LATTICE_GUARD_ORDER, TABLE_GUARD_ORDER, all_vectors, check_guard
+from .group import BaerGroup, GroupElement
 
 
 @dataclass(frozen=True)
@@ -261,26 +261,3 @@ def check_exponent(sg: SmallGroup, p: int) -> bool:
     for _ in range(p):
         acc = sg.mul[acc, g]
     return bool((acc == 0).all())
-
-
-def central_subgroup_subspaces(P: BaerGroup):
-    """Enumerate central subgroups of P as subspaces of F_p^(n+m) (exponent-p
-    abelian center, so subgroups are exactly subspaces), as index tuples into
-    the Cayley table.  Used by the unrestricted-lambda validation."""
-    zc = center(P)
-    rad, p = zc.U, P.p
-    zdim = rad.dim + P.m
-    basis = np.zeros((zdim, P.n + P.m), dtype=np.int64)
-    basis[: rad.dim, : P.n] = rad.mat()
-    basis[rad.dim :, P.n :] = np.eye(P.m, dtype=np.int64)
-    powers = p ** np.arange(P.n + P.m - 1, -1, -1, dtype=np.int64)
-    out = []
-    for s in range(zdim + 1):
-        for rows in subspace_matrices(zdim, s, p):
-            vecs = (np.array(rows) @ basis) % p
-            if s:
-                span = (all_vectors(s, p) @ vecs) % p
-            else:
-                span = np.zeros((1, P.n + P.m), dtype=np.int64)
-            out.append(tuple(sorted(int(x) for x in span @ powers)))
-    return out

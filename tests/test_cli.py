@@ -55,6 +55,23 @@ def test_graph_conn_json(tmp_path, capsys):
     assert len(payload["witnesses"]["edge_cut"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text,separator,edge_cut",
+    [(C4, [1, 3], [(1, 2), (1, 4)]), (P3, [2], [(1, 2)])],
+    ids=["C4", "P3"],
+)
+def test_graph_conn_witnesses_use_the_input_numbering(tmp_path, capsys, text, separator, edge_cut):
+    path = put(tmp_path, "g.edges", text)
+    code, out, _ = run(capsys, "graph-conn", path)
+    assert code == 0
+    assert f"separator: {separator}\n" in out
+    assert f"edge cut: {edge_cut}\n" in out
+    code, out, _ = run(capsys, "graph-conn", path, "--format", "json")
+    assert code == 0
+    witnesses = json.loads(out)["witnesses"]
+    assert witnesses == {"vertex_separator": separator, "edge_cut": [list(e) for e in edge_cut]}
+
+
 def test_graph_conn_json_complete_graph_has_no_separator(tmp_path, capsys):
     code, out, _ = run(capsys, "graph-conn", put(tmp_path, "k3.edges", K3), "--format", "json")
     assert code == 0

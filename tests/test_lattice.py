@@ -15,7 +15,6 @@ from blt.lattice import (
     SmallGroup,
     all_subgroups,
     center_indices,
-    central_subgroup_subspaces,
     check_associativity_exhaustive,
     check_associativity_sampled,
     check_exponent,
@@ -195,17 +194,6 @@ def test_literal_kappa_lambda_order81(P81):
     assert literal_kappa(P81) == kappa_group(P81).value == 0
     assert literal_lambda(P81) == lambda_group(P81).value == 0
     assert literal_lambda(P81, within_commutator=False) == 0
-
-
-def test_central_subgroup_subspaces(P81):
-    # center of P81 is rad + F^m = 2-dimensional: 6 subspaces = 6 central subgroups
-    subs = central_subgroup_subspaces(P81)
-    assert len(subs) == 6
-    sg = small_group(P81)
-    zc = set(center_indices(sg))
-    for idxs in subs:
-        assert set(idxs) <= zc
-        assert subgroup_of(sg, idxs)
 
 
 def test_order_guard():
