@@ -349,11 +349,10 @@ def _perp_dims(space: AltMatrixSpace, rows: np.ndarray) -> Tuple[np.ndarray, np.
     < n - 1, in the table dtype, whose bound n (q-1)^2 + q holds a row times
     n residues, packed in row blocks of about _CHUNK product entries.
 
-    U^perp is then the AND of the rows of a basis of U.  The bits of each
-    64-bit word are counted by the classic shift-and-mask sum:
-    np.bitwise_count needs numpy >= 2.0, and a 256-entry byte table took
-    three times as long at n = 7.  A count that is not (q^d - 1)/(q - 1)
-    raises.
+    U^perp is then the AND of the rows of a basis of U.  Its bits are counted
+    by np.bitwise_count on whole 64-bit words (numpy >= 2.0), which beat a
+    shift-and-mask sum on the sparse n = 7 spaces; a 256-entry byte table
+    took three times as long.  A count that is not (q^d - 1)/(q - 1) raises.
     """
     n, q, m = space.n, space.q, space.dim
     bits, filled = space._perp_table
@@ -385,11 +384,7 @@ def _perp_dims(space: AltMatrixSpace, rows: np.ndarray) -> Tuple[np.ndarray, np.
         mask = bits[idx[:, 0]]
         for j in range(1, idx.shape[1]):
             mask &= bits[idx[:, j]]
-        x = mask.view(np.uint64)
-        x -= (x >> 1) & 0x5555555555555555
-        x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-        x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-        d[lo : lo + step] = dim_of[((x * 0x0101010101010101) >> 56).sum(axis=1)]
+        d[lo : lo + step] = dim_of[np.bitwise_count(mask.view(np.uint64)).sum(axis=1)]
     if (d < 0).any():
         raise AssertionError("an orthogonal space must hold (q^d - 1)/(q - 1) lines")
     return d, bits
@@ -922,76 +917,37 @@ def is_fully_connected_rect(mats: np.ndarray, q: int):
     return False, (np.array(lu[i]), np.array(lv[j]))
 
 
-def _poly_mod(a, b, q):
-    """Remainder of polynomial a modulo monic b; coefficients ascending."""
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    while da >= db and any(a):
-        lead = a[da] % q
-        if lead:
-            shift = da - db
-            for i, bc in enumerate(b):
-                a[shift + i] = (a[shift + i] - lead * bc) % q
-        da -= 1
-    return [x % q for x in a[:db]] if db > 0 else []
-
-
-def _monic_polys(degree, q):
-    for tail in np.ndindex(*([q] * degree)):
-        yield list(tail[::-1]) + [1]  # ascending coefficients, monic
-
-
-def least_irreducible(s: int, q: int):
-    """Lexicographically least monic irreducible of degree s over F_q.
-
-    Order is over the coefficient tuple (c_{s-1}, ..., c_0), high degree
-    first.  Coefficients are returned ascending: [c_0, ..., c_{s-1}, 1].
-    """
-    field(q)
-    if s < 1:
-        raise ValueError("degree must be >= 1")
-    divisor_degrees = range(1, s // 2 + 1)
-    for head in np.ndindex(*([q] * s)):
-        coeffs = list(head[::-1]) + [1]  # ascending
-        if s == 1:
-            return coeffs
-        reducible = False
-        for d in divisor_degrees:
-            for g in _monic_polys(d, q):
-                rem = _poly_mod(coeffs, g, q)
-                if not any(rem):
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
-            return coeffs
-    raise AssertionError("irreducible polynomials of every degree exist")
-
-
-def companion_matrix(coeffs, q: int) -> np.ndarray:
-    """Companion matrix of a monic polynomial, ascending coefficients."""
-    s = len(coeffs) - 1
-    C = np.zeros((s, s), dtype=np.int64)
-    for i in range(s - 1):
-        C[i + 1, i] = 1
-    for i in range(s):
-        C[i, s - 1] = (-coeffs[i]) % q
-    return C
-
-
 def field_ext_full_space(s: int, q: int) -> np.ndarray:
     """The regular representation of F_{q^s}: a fully connected s x s space
     of dimension s in which every nonzero member is invertible, as the
-    (s, s, s) int64 stack of its canonical RREF basis."""
+    (s, s, s) int64 stack of its canonical RREF basis.
+
+    The span is F_q[C] for the companion C of the first monic f, with
+    coefficients (c_{s-1}, ..., c_0) in lexicographic order, for which one
+    rank_batched call finds rank s at every line of span{I, C, ..., C^(s-1)}.
+    That f is the least irreducible one: f is C's minimal polynomial, so the
+    powers are independent and F_q[C] is F_q[x]/(f), a field exactly when f
+    is irreducible; a finite ring is a field exactly when every nonzero
+    member is invertible, and scaling keeps that, so one member per line
+    suffices.  The separation instance reads the lines of F_q^max(s,t), with
+    max(s, t) < n far inside LINES_GUARD wherever a solver runs.
+    """
     field(q)
     if s < 1:
         raise ValueError("extension degree must be >= 1")
-    C = companion_matrix(least_irreducible(s, q), q)
-    powers = [np.eye(s, dtype=np.int64)]
-    for _ in range(s - 1):
-        powers.append((powers[-1] @ C) % q)
-    mats = np.array(powers).transpose(2, 1, 0)  # B_i has columns C_1 e_i, ..., C_s e_i
+    lines = gf.projective_lines(s, q)
+    for head in np.ndindex(*([q] * s)):
+        C = np.eye(s, k=-1, dtype=np.int64)
+        C[:, s - 1] = -np.array(head[::-1]) % q  # column s - 1 holds -c_0, ..., -c_{s-1}
+        powers = np.array([np.eye(s, dtype=np.int64)] * s)
+        for k in range(1, s):
+            powers[k] = powers[k - 1] @ C % q
+        members = (lines @ powers.reshape(s, s * s)).reshape(-1, s, s)
+        if (gf.rank_batched(members, q) == s).all():
+            break
+    else:
+        raise AssertionError("irreducible polynomials of every degree exist")
+    mats = powers.transpose(2, 1, 0)  # B_i has columns C_1 e_i, ..., C_s e_i
     return gf.rref(mats.reshape(s, s * s), q)[0].reshape(s, s, s)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness
+from . import gf, harness
 from .altspace import (
     AltMatrixSpace,
     GuardExceeded,
@@ -269,12 +269,14 @@ def cmd_verify(args) -> int:
 
 
 def _verify_counterexample(args) -> int:
-    """Check the fully-connected instance with kappa > lambda, then its group."""
-    s, t, q = args.s, args.t, args.q
+    """Check the fully-connected instance with kappa > lambda, then its group
+    when n + m is within GROUP_GUARD_EXP (the sweep's rule) or --force."""
+    s, t, q, force = args.s, args.t, args.q, args.force
+    gf.check_guard("n", s + t, gf.GUARD_N, force)  # before the instance is built
     sp = kappa_gt_lambda_instance(s, t, q)
-    full, _ = is_fully_connected(sp, force=True)
-    kappa, _ = kappa_space(sp, force=True)
-    lam = lambda_space(sp, force=True)
+    full, _ = is_fully_connected(sp, force=force)
+    kappa, _ = kappa_space(sp, force=force)
+    lam = lambda_space(sp, force=force)
     payload = {
         "s": s,
         "t": t,
@@ -286,10 +288,13 @@ def _verify_counterexample(args) -> int:
         "lambda": lam.value,
         "separation": bool(full and kappa > lam.value),
     }
-    if args.p == args.q:
+    if args.p == args.q and sp.n + sp.dim > gf.GROUP_GUARD_EXP and not force:
+        guard = f"n+m={sp.n + sp.dim} exceeds the brute-force guard GROUP_GUARD_EXP={gf.GROUP_GUARD_EXP}"
+        print(f"group rung skipped: {guard}; pass --force to run it", file=sys.stderr)
+    elif args.p == args.q:
         P = baer_group(map_from_space(sp), args.p)
-        kg = kappa_group(P, force=True)
-        lg = lambda_group(P, force=True)
+        kg = kappa_group(P, force=force)
+        lg = lambda_group(P, force=force)
         payload["group"] = {
             "order_exp": P.n + P.m,
             "kappa": kg.value,
@@ -325,13 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, q=True, pp=False, force=True):
+    def add_common(p, q=True, pp=False):
         if q:
             p.add_argument("--q", type=int, default=3, help="field modulus (odd prime)")
         if pp:
             p.add_argument("--p", type=int, default=3, help="group modulus (odd prime)")
-        if force:
-            p.add_argument("--force", action="store_true", help="lift size guards")
+        p.add_argument("--force", action="store_true", help="lift size guards")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
     g = sub.add_parser("graph-conn", help="kappa/lambda/delta of a graph from an edge list")

@@ -37,10 +37,10 @@ MAX_Q = 251
 # Size budgets of the exhaustive searches, each set here and nowhere else.  A
 # search past its budget raises GuardExceeded unless force=True (CLI:
 # --force); MAX_N_CAP is a hard cap of the sweep that force does not lift.
-GUARD_N = 6  # n: kappa_space, lambda_space, kappa_map, lambda_map, deg_element, delta_group
+GUARD_N = 6  # n: kappa_space, lambda_space, kappa_map, lambda_map, deg_element, delta_group, the counterexample
 LAMBDA_MAP_GUARD_M = 8  # codomain dimension m: lambda_map
-# n + m, the exponent of the group order: the structured kappa_group,
-# lambda_group and is_centrally_decomposable, and the sweep's group columns.
+# n + m, the exponent of the group order: the structured kappa_group, lambda_group
+# and is_centrally_decomposable, the sweep's group columns and the counterexample's.
 # Their cost grows with the number of subspace pairs of F_p^n, each with its
 # cross rows in F_p^m.  perfbench's chain-n4 picks its groups by this
 # budget, so raising it changes that workload.
@@ -104,10 +104,6 @@ class FieldParams:
             raise ValueError(f"modulus must be an int, got {type(self.q).__name__}")
         if self.q < 3 or self.q > MAX_Q or self.q % 2 == 0 or not is_prime(self.q):
             raise ValueError(f"modulus must be an odd prime in [3, {MAX_Q}], got {self.q}")
-
-    @property
-    def inv(self) -> list:
-        return _inverse_table(self.q)
 
     @property
     def half(self) -> int:
@@ -349,6 +345,18 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def log_exact(value: int, p: int) -> int:
+    """k with p^k = value.  The values are orders of p-groups and counts of
+    subspaces, so a value that is no power of p is a broken invariant."""
+    k = 0
+    while value > 1:
+        if value % p:
+            raise AssertionError(f"{value} is not a power of {p}")
+        value //= p
+        k += 1
+    return k
+
+
 def subspace_matrices(n: int, k: int, q: int) -> np.ndarray:
     """All k-dim subspaces of F_q^n as a (N, k, n) stack of RREF bases.
 
@@ -445,8 +453,8 @@ def complement_matrices(u_basis: np.ndarray, q: int) -> np.ndarray:
     """All complements of the RREF row space `u_basis` as a (q^(k(n-k)), n-k, n) stack.
 
     Complements of U are graphs of linear maps from the coordinate complement
-    span{e_c : c non-pivot} into U; the maps are enumerated as a row-major
-    base-q counter.
+    span{e_c : c non-pivot} into U; the maps are enumerated as all_vectors'
+    row-major base-q counter over their k(n - k) coefficients.
     """
     k, n = u_basis.shape
     c = n - k
@@ -454,13 +462,10 @@ def complement_matrices(u_basis: np.ndarray, q: int) -> np.ndarray:
         raise ValueError("complement enumeration needs 0 < dim U < n")
     pivots = [int(np.nonzero(row)[0][0]) for row in u_basis]
     nonpiv = [j for j in range(n) if j not in pivots]
-    count = q ** (k * c)
     base = np.zeros((c, n), dtype=np.int64)
     for i, j in enumerate(nonpiv):
         base[i, j] = 1
-    vals = np.arange(count, dtype=np.int64)
-    powers = q ** np.arange(k * c - 1, -1, -1, dtype=np.int64)
-    digits = ((vals[:, None] // powers) % q).reshape(count, c, k)
+    digits = all_vectors(k * c, q).reshape(-1, c, k)
     out = (base[None, :, :] + digits @ u_basis) % q
     return out
 

@@ -221,13 +221,7 @@ def deg_element(P: BaerGroup, g: GroupElement, *, force: bool = False) -> int:
     vecs = gf.all_vectors(P.n, P.p)
     Mv = np.einsum("kij,i->kj", P.phi.tensor, np.array(g.v, dtype=np.int64)) % P.p
     hits = int(((vecs @ Mv.T) % P.p == 0).all(axis=1).sum())
-    k = 0  # hits is an exact power of p (it counts a subspace)
-    while hits > 1:
-        if hits % P.p:
-            raise AssertionError(f"centralizer kernel count {hits} is not a power of {P.p}")
-        hits //= P.p
-        k += 1
-    return P.n + P.m - (P.m + k)
+    return P.n - gf.log_exact(hits, P.p)
 
 
 def delta_group(P: BaerGroup, *, force: bool = False) -> Tuple[int, GroupElement]:

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf import LATTICE_GUARD_ORDER, TABLE_GUARD_ORDER, all_vectors, check_guard
+from .gf import LATTICE_GUARD_ORDER, TABLE_GUARD_ORDER, all_vectors, check_guard, log_exact
 from .group import BaerGroup, GroupElement
 
 
@@ -176,16 +176,6 @@ def quotient_by_central(sg: SmallGroup, N: Sequence[int]) -> SmallGroup:
 # Literal kappa / lambda
 
 
-def _log_exact(value: int, p: int) -> int:
-    k = 0
-    while value > 1:
-        if value % p:
-            raise ValueError("not a power of p")
-        value //= p
-        k += 1
-    return k
-
-
 def literal_kappa(P: BaerGroup, *, force: bool = False) -> int:
     """kappa by brute force over the whole subgroup lattice: minimum s over
     ALL regular subgroups S (not just the structured S_U family) with
@@ -199,7 +189,7 @@ def literal_kappa(P: BaerGroup, *, force: bool = False) -> int:
         DS = derived_subgroup(sg, S)
         if set(DS) != (set(S) & comm_set):
             continue  # not regular
-        k = _log_exact(len(S) // len(DS), P.p)
+        k = log_exact(len(S) // len(DS), P.p)
         s = P.n - k
         if s < 0 or (best is not None and s >= best):
             continue
@@ -229,7 +219,7 @@ def literal_lambda(
     for N in sorted(subgroups, key=len):
         if not set(N) <= (zcenter & allowed):
             continue
-        s = _log_exact(len(N), P.p)
+        s = log_exact(len(N), P.p)
         if best is not None and s >= best:
             continue
         quo = quotient_by_central(sg, N)

@@ -1,6 +1,7 @@
 """Alternating matrix spaces: construction, kappa, lambda, delta."""
 
 import ast
+import hashlib
 import json
 import tracemalloc
 from math import comb
@@ -1107,6 +1108,42 @@ def test_field_ext_every_member_invertible(s, q):
     ranks = gf.rank_batched(members, q)
     assert (ranks == s).all()
     assert is_fully_connected_rect(sq, q)[0]
+
+
+# sha256 of field_ext_full_space(s, q).tobytes(): pins which irreducible
+# polynomial each degree takes, which the invertibility checks above do not
+FIELD_EXT_SHA256 = {
+    (1, 3): "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    (2, 3): "bd9b572db0f82b0d3155801480fb11f2197f4b59b2db58e26ce153c16661bf63",
+    (3, 3): "195fc6503563771e0ebfa9204f9cfbb09f3b09a94f928e48c3984bd25f0b4818",
+    (4, 3): "c654f5dae1ccc5b8836d4ba2133b792fa34294e5bd61e598440ab4759562adfc",
+    (5, 3): "f5f0a52274ac3b4f889f515b0f17a0b9282fb33412511088527f57047469540d",
+    (1, 5): "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    (2, 5): "bd9b572db0f82b0d3155801480fb11f2197f4b59b2db58e26ce153c16661bf63",
+    (3, 5): "6e8aec987cf3aee03216ebdc0a96c5b7f78aac1f5df834c68b8191a218f7c239",
+    (4, 5): "740b15baf1bc9ba1d7dec9157ace89470bba26e800efd1ac0d497bcb8728c8f0",
+    (1, 7): "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    (2, 7): "c9edd657567533f27951e4068077b69eb6536f314dfa9d36ab7f96ae2f13a3ef",
+    (3, 7): "8689e274f9f89363483a4c2c76a2eaa4b1489cc96b6c6a1dcd3f2a0137357e34",
+    (4, 7): "c5d6f52e6a1643e29bec1f36de0cdc1a577f8ee02484e3181324fdde951536a7",
+}
+# sha256 of the int64 bytes of kappa_gt_lambda_instance(s, t, 3).basis
+SEPARATION_BASIS_SHA256 = {
+    (2, 2): "b399563f92819bd190ff6a021961a5c8ef952921d38e6cf1c025680e8df1216d",
+    (2, 3): "0c718423886094496f6f4d969dff103dd11c9e1063bd881a1a48f8787c344568",
+    (3, 3): "d9171c3a8085b6007fafc9e934204fbfb727a580f152db05ba60418e11544ad2",
+    (2, 4): "2f493abc5617813ab9d537632e1592a0147f6cae8c5d9a9cc5752162e0ffc46c",
+    (3, 4): "4fa08ce9a9414bb13047546274ef00e537bfcbf69aa3ebafe89a81c977ba2a8b",
+    (2, 5): "8b0b5503d569e9302169392e8fcf548f501762aef0412449fa761fd08ed556f2",
+}
+
+
+def test_the_separation_family_is_pinned():
+    for (s, q), digest in FIELD_EXT_SHA256.items():
+        assert hashlib.sha256(field_ext_full_space(s, q).tobytes()).hexdigest() == digest, (s, q)
+    for (s, t), digest in SEPARATION_BASIS_SHA256.items():
+        basis = np.array(kappa_gt_lambda_instance(s, t, 3).basis, dtype=np.int64)
+        assert hashlib.sha256(basis.tobytes()).hexdigest() == digest, (s, t)
 
 
 def test_kappa_gt_lambda_instance():

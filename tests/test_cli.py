@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from blt import altspace, cli, group, harness
+from blt import altspace, cli, gf, group, harness
 from blt.harness import VerifyConfig, VerifyReport
 
 K2 = "2 1\n1 2\n"
@@ -382,7 +382,7 @@ def test_verify_exit_code_3_on_a_raising_row(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_counterexample(capsys):
-    code, out, _ = run(capsys, "verify", "--counterexample", "--threads", "1")
+    code, out, _ = run(capsys, "verify", "--counterexample", "--threads", "1", "--force")
     assert code == 0
     payload = json.loads(out)
     assert payload["fully_connected"] is True
@@ -399,11 +399,27 @@ def test_verify_counterexample_group_rung_runs_at_group_level(monkeypatch, capsy
 
     monkeypatch.setattr(group, "kappa_map", map_search)
     monkeypatch.setattr(group, "lambda_map", map_search)
-    code, out, _ = run(capsys, "verify", "--counterexample", "--threads", "1")
+    code, out, _ = run(capsys, "verify", "--counterexample", "--threads", "1", "--force")
     assert code == 0
     payload = json.loads(out)
     assert payload["group"]["separation"] is True
     assert (payload["group"]["kappa"], payload["group"]["lambda"]) == (3, 2)
+
+
+def test_verify_counterexample_keeps_its_guards_without_force(monkeypatch, capsys):
+    # (2, 2) has n + m = 8 past GROUP_GUARD_EXP: the space rungs run, the group rung is left out
+    code, out, err = run(capsys, "verify", "--counterexample", "--threads", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["separation"] is True
+    assert "group" not in payload
+    assert f"n+m=8 exceeds the brute-force guard GROUP_GUARD_EXP={gf.GROUP_GUARD_EXP}" in err
+    # n = 7 is refused before the instance is built
+    monkeypatch.setattr(cli, "kappa_gt_lambda_instance", _started)
+    code, out, err = run(capsys, "verify", "--counterexample", "--s", "3", "--t", "4")
+    assert code == 2
+    assert out == ""
+    assert f"n=7 exceeds the brute-force guard {gf.GUARD_N}" in err
 
 
 def test_unknown_command_usage_error(capsys):

@@ -29,9 +29,17 @@ def test_half_is_inverse_of_two():
 
 
 def test_inverse_table():
-    fp = gf.field(7)
+    inv = gf._inverse_table(7)
     for a in range(1, 7):
-        assert (a * fp.inv[a]) % 7 == 1
+        assert (a * inv[a]) % 7 == 1
+
+
+def test_log_exact():
+    assert [gf.log_exact(3**k, 3) for k in range(5)] == [0, 1, 2, 3, 4]
+    assert gf.log_exact(5**3, 5) == 3
+    for value, p in ((6, 3), (2 * 3**4, 3), (3**2, 5)):
+        with pytest.raises(AssertionError, match="not a power"):
+            gf.log_exact(value, p)
 
 
 def test_rref_frozen_example():
